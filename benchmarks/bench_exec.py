@@ -5,7 +5,9 @@ events). The rewritten plans aggregate sub-aggregates instead of
 re-scanning raw events per window, which shows up as lower wall time on
 top of the exactly-modeled lower operation counts (see test_metering).
 Each plan runs ``pedantic`` (2 rounds, 1 warm-up) because a Spark job is
-far above pytest-benchmark's default calibration scale.
+far above pytest-benchmark's default calibration scale. Every timed call
+collects the full answer: ``count()`` would let Catalyst prune the
+aggregate out of the plan.
 """
 import pytest
 
@@ -30,7 +32,7 @@ HOP_ETA = 1000
 MIN = get_aggregate("min")
 
 # Row counts are identical across plans for the same window set; each
-# bench asserts its plan produces this many output rows.
+# bench asserts its plan returns this many output rows.
 _EXPECTED: dict[tuple[Window, ...], int] = {}
 
 
@@ -45,7 +47,7 @@ def events(spark):
 def _expected_rows(events, windows):
     key = tuple(windows)
     if key not in _EXPECTED:
-        _EXPECTED[key] = execute_baseline(events, windows, MIN).count()
+        _EXPECTED[key] = len(execute_baseline(events, windows, MIN).collect())
     return _EXPECTED[key]
 
 
@@ -57,7 +59,7 @@ def _bench(benchmark, fn, expect):
 @pytest.mark.benchmark(group="exec-ex6")
 def test_bench_ex6_baseline(benchmark, spark, events):
     expect = _expected_rows(events, EX6)
-    _bench(benchmark, lambda: execute_baseline(events, EX6, MIN).count(), expect)
+    _bench(benchmark, lambda: len(execute_baseline(events, EX6, MIN).collect()), expect)
 
 
 @pytest.mark.benchmark(group="exec-ex6")
@@ -67,7 +69,7 @@ def test_bench_ex6_wcg(benchmark, spark, events):
 
     def run():
         res = execute_wcg(events, m, MIN)
-        n = res.output.count()
+        n = len(res.output.collect())
         res.unpersist()
         return n
 
@@ -77,7 +79,7 @@ def test_bench_ex6_wcg(benchmark, spark, events):
 @pytest.mark.benchmark(group="exec-ex7")
 def test_bench_ex7_baseline(benchmark, spark, events):
     expect = _expected_rows(events, EX7)
-    _bench(benchmark, lambda: execute_baseline(events, EX7, MIN).count(), expect)
+    _bench(benchmark, lambda: len(execute_baseline(events, EX7, MIN).collect()), expect)
 
 
 @pytest.mark.benchmark(group="exec-ex7")
@@ -87,7 +89,7 @@ def test_bench_ex7_wcg_fw(benchmark, spark, events):
 
     def run():
         res = execute_wcg(events, m, MIN)
-        n = res.output.count()
+        n = len(res.output.collect())
         res.unpersist()
         return n
 
@@ -111,7 +113,7 @@ def _bench_once(benchmark, fn, expect):
 @pytest.mark.benchmark(group="exec-hop")
 def test_bench_hop_baseline(benchmark, spark, hop_events):
     expect = _expected_rows(hop_events, HOP)
-    _bench_once(benchmark, lambda: execute_baseline(hop_events, HOP, MIN).count(), expect)
+    _bench_once(benchmark, lambda: len(execute_baseline(hop_events, HOP, MIN).collect()), expect)
 
 
 @pytest.mark.benchmark(group="exec-hop")
@@ -121,7 +123,7 @@ def test_bench_hop_wcg(benchmark, spark, hop_events):
 
     def run():
         res = execute_wcg(hop_events, m, MIN)
-        n = res.output.count()
+        n = len(res.output.collect())
         res.unpersist()
         return n
 

@@ -57,21 +57,16 @@ def spark() -> SparkSession:
 
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
     pre-JVM-launch). Per-session configs that *are* honoured post-launch
-    (shuffle partitions, Arrow, broadcast threshold) are set here.
-    Broadcast joins are disabled so papers about shuffle/join algorithms
-    actually exercise the shuffle path at SF~=0.1; a reproduction that
-    wants a broadcast join sets the threshold back for that query.
+    come from ``jobs/_common.SESSION_DEFAULTS``, so the tests run the
+    configuration the jobs and the benchmark run; ``SPARK_SHUFFLE_PARTITIONS``
+    overrides the shuffle partition count.
     """
-    s = (
-        SparkSession.builder.appName("repro")
-        .config(
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
-        )
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
+    from jobs._common import configure
+
+    b = configure("repro")
+    if n := os.environ.get("SPARK_SHUFFLE_PARTITIONS"):
+        b = b.config("spark.sql.shuffle.partitions", n)
+    s = b.getOrCreate()
     # One line in test_output.txt that tells the driver whether the
     # cgroup derivation saw the real limit (README § Spark target).
     print(

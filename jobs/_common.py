@@ -2,19 +2,32 @@
 
 Each job is a thin wrapper over a library function that takes a
 SparkSession and returns/prints results, so the same code path is
-exercised by pytest (via the ``spark`` fixture) and by
-``spark-submit jobs/<name>.py``.
+exercised by pytest (via the ``spark`` fixture, which starts from the
+same :data:`SESSION_DEFAULTS`) and by ``spark-submit jobs/<name>.py``.
 """
 from __future__ import annotations
 
 from pyspark.sql import SparkSession
 
+#: Session configs every entrypoint (jobs, tests, benchmark) runs with.
+SESSION_DEFAULTS = {
+    "spark.sql.shuffle.partitions": "64",
+    "spark.sql.execution.arrow.pyspark.enabled": "true",
+    "spark.sql.autoBroadcastJoinThreshold": "-1",
+    # Let AQE coalesce the shuffles of persisted plans (shared forest
+    # nodes, slice partials) like any other; by default a cached plan
+    # keeps every one of its shuffle partitions.
+    "spark.sql.optimizer.canChangeCachedPlanOutputPartitioning": "true",
+}
+
+
+def configure(app: str) -> SparkSession.Builder:
+    """A SparkSession set up with :data:`SESSION_DEFAULTS`, not yet started."""
+    b = SparkSession.builder.appName(app)
+    for k, v in SESSION_DEFAULTS.items():
+        b = b.config(k, v)
+    return b
+
 
 def get_spark(app: str) -> SparkSession:
-    return (
-        SparkSession.builder.appName(app)
-        .config("spark.sql.shuffle.partitions", "64")
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
+    return configure(app).getOrCreate()

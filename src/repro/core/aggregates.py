@@ -59,14 +59,22 @@ class AggSpec:
         return f"{fn}({value_col})"
 
 
-def _distributive(name: str, semantics: Semantics, spark_fn) -> AggSpec:
+def _ordered_sum(c: Column) -> Column:
+    """SUM of the pieces in ``c`` added in ascending order, so that plans
+    delivering the same pieces in different orders (batch or streaming,
+    however partitioned) return the same bits despite floating point."""
+    fold = F.aggregate(F.array_sort(F.collect_list(c)), F.lit(0.0), lambda acc, x: acc + x)
+    return F.when(F.count(c) > 0, fold)
+
+
+def _distributive(name: str, semantics: Semantics, spark_fn, merge_fn=None) -> AggSpec:
     state = f"_{name}"
     return AggSpec(
         name=name,
         semantics=semantics,
         state_cols=(state,),
         partial_exprs=lambda v, fn=spark_fn, s=state: [fn(F.col(v)).alias(s)],
-        merge_exprs=lambda fn=spark_fn, s=state: [fn(F.col(s)).alias(s)],
+        merge_exprs=lambda fn=merge_fn or spark_fn, s=state: [fn(F.col(s)).alias(s)],
         final_expr=lambda s=state: F.col(s),
     )
 
@@ -95,7 +103,7 @@ def _avg() -> AggSpec:
             F.count(F.col(v)).alias("_count"),
         ],
         merge_exprs=lambda: [
-            F.sum(F.col("_sum")).alias("_sum"),
+            _ordered_sum(F.col("_sum")).alias("_sum"),
             F.sum(F.col("_count")).alias("_count"),
         ],
         final_expr=lambda: F.col("_sum") / F.col("_count"),
@@ -105,7 +113,7 @@ def _avg() -> AggSpec:
 AGGREGATES: dict[str, AggSpec] = {
     "min": _distributive("min", Semantics.COVERED_BY, F.min),
     "max": _distributive("max", Semantics.COVERED_BY, F.max),
-    "sum": _distributive("sum", Semantics.PARTITIONED_BY, F.sum),
+    "sum": _distributive("sum", Semantics.PARTITIONED_BY, F.sum, _ordered_sum),
     "count": _count(),
     "avg": _avg(),
 }

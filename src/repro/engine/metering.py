@@ -21,49 +21,36 @@ from pyspark.sql import functions as F
 from repro.core.aggregates import AggSpec
 from repro.core.mincost import MinCostWCG
 from repro.core.windows import Window
-from repro.engine.rollup import _candidate_starts, assignment_count
-from repro.engine.window_agg import partial_window_agg
+from repro.engine.executor import execute_wcg
+from repro.engine.rollup import assignment_count
+from repro.engine.window_agg import unit_intervals
 
 
 def raw_assignment_count(events: DataFrame, w: Window, horizon: int) -> int:
-    """(event, instance) pairs a direct window aggregate processes.
-
-    An event at ``tick`` belongs to instance ``[a, a+r)`` iff
-    ``a ≤ tick < a + r``, which over integer ticks is the same as the
-    rollup's containment test applied to the unit interval
-    ``[tick, tick+1)`` — so the rollup's candidate-start column is
-    reused with ``win_start = tick``, ``win_end = tick + 1``.
-    """
-    pseudo = events.select(
-        F.col("tick").alias("win_start"), (F.col("tick") + 1).alias("win_end")
-    )
-    assigned = pseudo.withColumn("_j", F.explode(_candidate_starts(w.r, w.s)))
-    return assigned.where(F.col("_j") * w.s + w.r <= horizon).count()
+    """(event, instance) pairs a direct window aggregate processes,
+    counted with the assignment operator the root window runs: each
+    event is the unit interval ``[tick, tick+1)``."""
+    return assignment_count(unit_intervals(events), w, horizon)
 
 
 def plan_assignment_counts(
     events: DataFrame, mincost: MinCostWCG, agg: AggSpec, horizon: int
 ) -> dict[Window, int]:
-    """Measured per-window processing counts for a rewritten plan.
+    """Measured per-window processing counts of the executed plan.
 
     Root windows count event-instance pairs; children count
-    (parent-sub-aggregate, instance) pairs from the parent's *actual*
-    partial output (which is per key — divide by the key count to
-    compare with the paper's keyless cost model, or generate a 1-key
-    stream as the metering tests do).
+    (parent-sub-aggregate, instance) pairs from the parent's partial
+    output in the plan :func:`execute_wcg` runs (which is per key —
+    divide by the key count to compare with the paper's keyless cost
+    model, or generate a 1-key stream as the metering tests do).
     """
-    partials: dict[Window, DataFrame] = {}
-    counts: dict[Window, int] = {}
-    for w in mincost.topological():
-        parent = mincost.parent[w]
-        if parent is None:
-            counts[w] = raw_assignment_count(events, w, horizon)
-        else:
-            up = partials[parent].where(F.col("win_end") <= horizon)
-            counts[w] = assignment_count(up, w, horizon)
-        # For metering, a window's partial *instances* are the same
-        # whether produced directly or by rollup (only the state values
-        # could differ, and counts ignore state) — computing them
-        # directly keeps each count independent of upstream plumbing.
-        partials[w] = partial_window_agg(events, w, agg)
-    return counts
+    res = execute_wcg(events, mincost, agg)
+    try:
+        return {
+            w: raw_assignment_count(events, w, horizon)
+            if p is None
+            else assignment_count(res.partials[p].where(F.col("win_end") <= horizon), w, horizon)
+            for w, p in mincost.parent.items()
+        }
+    finally:
+        res.unpersist()

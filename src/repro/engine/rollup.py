@@ -1,19 +1,12 @@
 """The sub-aggregate rollup operator — the heart of the rewritten plan.
 
-Given the partial-state output of an upstream window ``W2`` (one row per
-(instance ``[u, v)``, key)), compute a downstream window ``W1⟨r1, s1⟩``
-by assigning every upstream instance to each downstream instance
-``[a, a+r1)`` that fully contains it (``a ≤ u`` and ``v ≤ a + r1`` —
-exactly Definition 2's covering set), then merging partial states per
-(downstream instance, key).
-
-The assignment is pure DataFrame API: the candidate starts form the
-arithmetic progression ``a = j·s1`` with
-``j ∈ [max(0, ⌈(v − r1)/s1⌉), ⌊u/s1⌋]``, generated with
-``sequence`` + ``explode`` — the same trick Catalyst's sliding
-``window()`` uses on raw events, lifted to sub-aggregates. Upstream
-instances that no downstream instance contains (possible when the
-upstream window is hopping) yield an empty sequence and drop out.
+A downstream window ``W1⟨r1, s1⟩`` is computed from the partial states
+of an upstream window ``W2`` (one row per (instance ``[u, v)``, key)):
+the engine's assignment operator (:mod:`repro.engine.window_agg`) sends
+every upstream instance to each downstream instance that fully contains
+it (Definition 2's covering set), and the partial states are merged per
+(downstream instance, key). Upstream instances that no downstream
+instance contains (possible when the upstream window is hopping) drop out.
 
 Under "covered by" semantics downstream instances receive *overlapping*
 upstream instances — sound for MIN/MAX (Theorem 6). Under
@@ -28,35 +21,12 @@ from pyspark.sql import functions as F
 
 from repro.core.aggregates import AggSpec
 from repro.core.windows import Window
-
-
-def _candidate_starts(r1: int, s1: int):
-    """Column of downstream starts containing ``[win_start, win_end)``."""
-    u, v = F.col("win_start"), F.col("win_end")
-    # ⌈(v − r1)/s1⌉ via floor((x + s1 − 1)/s1); exact for negatives too.
-    lo = F.greatest(F.lit(0), F.floor((v - F.lit(r1) + F.lit(s1 - 1)) / F.lit(s1)))
-    hi = F.floor(u / F.lit(s1))
-    return F.when(lo <= hi, F.sequence(lo.cast("long"), hi.cast("long"))).otherwise(
-        F.array().cast("array<long>")
-    )
+from repro.engine.window_agg import aggregate_instances, assign
 
 
 def rollup(upstream: DataFrame, child: Window, agg: AggSpec) -> DataFrame:
     """Partial states of ``child`` computed from ``upstream`` partials."""
-    r1, s1 = child.r, child.s
-    assigned = upstream.withColumn(
-        "_j", F.explode(_candidate_starts(r1, s1))
-    ).withColumn("_child_start", F.col("_j") * s1)
-    return (
-        assigned.groupBy(F.col("_child_start").alias("win_start"), F.col("key"))
-        .agg(*agg.merge_exprs())
-        .select(
-            F.col("win_start"),
-            (F.col("win_start") + r1).alias("win_end"),
-            F.col("key"),
-            *[F.col(c) for c in agg.state_cols],
-        )
-    )
+    return aggregate_instances(upstream, child, agg, agg.merge_exprs())
 
 
 def assignment_count(upstream: DataFrame, child: Window, horizon: int) -> int:
@@ -64,9 +34,4 @@ def assignment_count(upstream: DataFrame, child: Window, horizon: int) -> int:
     pairs the rollup processes, restricted to downstream instances fully
     inside ``[0, horizon]`` — the executed analogue of the cost model's
     ``n_1 · M(W_1, W_2)`` (per key)."""
-    r1, s1 = child.r, child.s
-    assigned = upstream.withColumn("_j", F.explode(_candidate_starts(r1, s1)))
-    return (
-        assigned.where(F.col("_j") * s1 + r1 <= horizon)
-        .count()
-    )
+    return assign(upstream, child).where(F.col("_start") + child.r <= horizon).count()

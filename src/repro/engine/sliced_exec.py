@@ -9,7 +9,7 @@ on Spark so the substrate itself is verified against the baseline plan:
    equi-width, so no closed-form bucketing exists);
 3. partial aggregate per (slice, key);
 4. each window firing ``[a, a + r)`` merges the partial aggregates of
-   the slices it fully contains — the same sequence/explode containment
+   the slices it fully contains — the same containment
    assignment the rollup operator uses, since every firing boundary is
    itself a slice edge.
 

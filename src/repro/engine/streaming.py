@@ -14,8 +14,8 @@ is a multiple of the parent range, so the child windows containing
 ``v − ε`` all start at or before ``u`` (see the proof sketch in
 DESIGN.md). "Covered by" rollups from *hopping* parents need the
 overlap-tolerant containment explode, which streaming append mode
-cannot express after an aggregation; those plans run in batch (or via
-``foreachBatch``) instead — this module raises for them.
+cannot express after an aggregation; those plans run in batch only
+(:func:`repro.engine.executor.execute_wcg`) — this module raises for them.
 
 Append-mode emission is gated on the watermark, so a window only emits
 once the watermark passes its end; callers either keep the stream
@@ -48,7 +48,7 @@ def build_streaming_partials(
     if not streaming_supported(mincost):
         raise ValueError(
             "plan contains a rollup from a hopping parent; covered-by "
-            "rollups run in batch/foreachBatch (see module docstring)"
+            "rollups run in batch only (see module docstring)"
         )
     src = events.withWatermark("ts", watermark_delay)
     partials: dict[Window, DataFrame] = {}

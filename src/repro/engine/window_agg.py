@@ -1,15 +1,26 @@
-"""Direct window aggregation over raw events (the plans' root operator).
+"""The window assignment operator, shared by every plan in the engine.
 
-``partial_window_agg`` groups a stream by (window instance, key) and
-computes the aggregate's *partial state* columns; ``finalize`` turns
-partial state into the user-visible value. The baseline plan is
-``finalize(partial_window_agg(...))`` per window, unioned.
+A row that carries an integer interval ``[win_start, win_end)`` is
+assigned to every instance ``[a, a + r)`` of a window ``W⟨r, s⟩`` that
+contains it: ``a ≤ win_start`` and ``win_end ≤ a + r``, over the paper's
+instances ``a = j·s, j ≥ 0`` (Definition 2's covering set). Rows are then
+merged per (instance, key).
 
-Window instances follow the paper's interval representation
-``[m·s, m·s + r), m ≥ 0``: Spark's ``window()`` also emits instances
-with negative starts for early events, which are filtered out so the
-engine, the cost model, and the DuckDB oracle all count the same
-instances.
+* A root window reads raw events, each the unit interval
+  ``[tick, tick + 1)``: an event belongs to ``[a, a + r)`` iff
+  ``a ≤ tick < a + r``. Events before 0 belong to no instance.
+* A rollup reads its parent's partial states, one row per (parent
+  instance, key); see :mod:`repro.engine.rollup`.
+
+For a tumbling window the only candidate is ``a = ⌊u/s⌋·s``, a
+projection plus the containment filter. Any other window enumerates the
+candidate starts ``j ∈ [max(0, ⌈(v − r)/s⌉), ⌊u/s⌋]`` with
+``sequence`` + ``explode``, the trick Catalyst's sliding ``window()``
+uses on timestamps; an empty range drops the row.
+
+``partial_window_agg`` computes a window's partial states
+``(win_start, win_end, key, *state)`` from raw events; ``finalize`` turns
+them into the user-visible ``(window_id, win_start, win_end, key, value)``.
 """
 from __future__ import annotations
 
@@ -19,37 +30,64 @@ from pyspark.sql import functions as F
 from repro.core.aggregates import AggSpec
 from repro.core.windows import Window
 
-#: Output schema shared by every operator in the engine:
-#: (win_start, win_end, key, *state) for partials;
-#: (window_id, win_start, win_end, key, value) for finals.
-PARTIAL_KEYS = ["win_start", "win_end", "key"]
-
-
 def window_id(w: Window) -> str:
     """Stable identifier of a window in the union output, ``"r/s"``."""
     return f"{w.r}/{w.s}"
 
 
-def partial_window_agg(events: DataFrame, w: Window, agg: AggSpec) -> DataFrame:
-    """Aggregate raw events into per-(instance, key) partial states.
+def _candidate_starts(r: int, s: int) -> Column:
+    """Array of the starts ``a = j·s`` whose instance ``[a, a + r)``
+    contains ``[win_start, win_end)``."""
+    u, v = F.col("win_start"), F.col("win_end")
+    # ⌈(v − r)/s⌉ via floor((x + s − 1)/s); exact for negatives too.
+    lo = F.greatest(F.lit(0), F.floor((v - F.lit(r) + F.lit(s - 1)) / F.lit(s)))
+    hi = F.floor(u / F.lit(s))
+    return F.when(lo <= hi, F.sequence(lo * s, hi * s, F.lit(s).cast("long"))).otherwise(
+        F.array().cast("array<long>")
+    )
 
-    Uses Catalyst's native ``window()`` (which internally expands each
-    event to its ``r/s`` containing instances for hopping windows — the
-    same ``η·r`` per-instance cost the paper's model charges).
-    """
-    win = F.window(F.col("ts"), f"{w.r} seconds", f"{w.s} seconds")
-    out = (
-        events.groupBy(win.alias("w"), F.col("key"))
-        .agg(*agg.partial_exprs("v"))
+
+def assign(intervals: DataFrame, w: Window) -> DataFrame:
+    """One row per (input row, containing instance of ``w``), the
+    instance's start in ``_start``."""
+    if not w.is_tumbling:
+        return intervals.withColumn("_start", F.explode(_candidate_starts(w.r, w.s)))
+    u, start = F.col("win_start"), F.col("_start")
+    return intervals.withColumn("_start", u - F.pmod(u, F.lit(w.s))).where(
+        (start >= 0) & (F.col("win_end") <= start + w.r)
+    )
+
+
+def unit_intervals(events: DataFrame) -> DataFrame:
+    """Events as unit intervals ``[tick, tick + 1)`` with their key and value."""
+    return events.select(
+        F.col("tick").alias("win_start"),
+        (F.col("tick") + 1).alias("win_end"),
+        F.col("key"),
+        F.col("v"),
+    )
+
+
+def aggregate_instances(
+    intervals: DataFrame, w: Window, agg: AggSpec, exprs: list[Column]
+) -> DataFrame:
+    """Partial states of ``w``: ``exprs`` over each instance's assigned rows."""
+    return (
+        assign(intervals, w)
+        .groupBy(F.col("_start").alias("win_start"), F.col("key"))
+        .agg(*exprs)
         .select(
-            F.unix_timestamp(F.col("w.start")).alias("win_start"),
-            F.unix_timestamp(F.col("w.end")).alias("win_end"),
+            F.col("win_start"),
+            (F.col("win_start") + w.r).alias("win_end"),
             F.col("key"),
             *[F.col(c) for c in agg.state_cols],
         )
-        .where(F.col("win_start") >= 0)
     )
-    return out
+
+
+def partial_window_agg(events: DataFrame, w: Window, agg: AggSpec) -> DataFrame:
+    """Aggregate raw events into per-(instance, key) partial states."""
+    return aggregate_instances(unit_intervals(events), w, agg, agg.partial_exprs("v"))
 
 
 def finalize(partials: DataFrame, w: Window, agg: AggSpec) -> DataFrame:
@@ -61,13 +99,3 @@ def finalize(partials: DataFrame, w: Window, agg: AggSpec) -> DataFrame:
         F.col("key"),
         agg.final_expr().alias("value"),
     )
-
-
-def baseline_union(events: DataFrame, windows: list[Window], agg: AggSpec) -> DataFrame:
-    """Figure 1(b): each window from raw events, results unioned."""
-    out: DataFrame | None = None
-    for w in sorted(windows):
-        d = finalize(partial_window_agg(events, w, agg), w, agg)
-        out = d if out is None else out.unionByName(d)
-    assert out is not None, "empty window set"
-    return out

@@ -1,7 +1,9 @@
 """End-to-end correctness of executed plans on Spark, against the DuckDB
 oracle and against each other: baseline vs rewritten (WCG) vs rewritten
 with factor windows (WCG-FW)."""
+import pandas as pd
 import pytest
+from py4j.protocol import Py4JJavaError
 
 from repro.core.aggregates import get_aggregate
 from repro.core.factor import algorithm2, optimize
@@ -51,6 +53,24 @@ class TestDirectWindowAgg:
         assert_equivalent(
             got, multi_window_sql([w], agg, HORIZON), events=events_pdf
         )
+
+    @pytest.mark.parametrize("w", [Window(10, 10), Window(12, 4)], ids=str)
+    @pytest.mark.parametrize("agg_name", ["min", "max", "sum", "count", "avg"])
+    @pytest.mark.parametrize("stream", ["edges", "empty"])
+    def test_root_operator_edge_streams_vs_oracle(self, spark, stream, agg_name, w):
+        # One key; null values, one instance with only nulls; events
+        # before 0 (in no instance) and far past the steady ticks.
+        rows = [] if stream == "empty" else [
+            (-7, 0, 5.0), (-1, 0, -2.0), (0, 0, 1.5), (3, 0, None), (9, 0, 4.0),
+            (11, 0, None), (12, 0, 2.5), (25, 0, None), (26, 0, None), (95, 0, 7.0),
+        ]
+        ev = spark.createDataFrame(rows, "tick long, key long, v double")
+        pdf = pd.DataFrame(rows, columns=["tick", "key", "v"]).astype(
+            {"tick": "int64", "key": "int64", "v": "Float64"}
+        )
+        agg = get_aggregate(agg_name)
+        got = finalize(partial_window_agg(ev, w, agg), w, agg)
+        assert_equivalent(got, multi_window_sql([w], agg, 100), events=pdf)
 
     def test_no_negative_window_starts(self, spark, events):
         agg = get_aggregate("min")
@@ -171,6 +191,51 @@ class TestRewrittenPlans:
             assert_equivalent(
                 res.output, multi_window_sql(ws, agg, HORIZON), events=events_pdf
             )
+        finally:
+            res.unpersist()
+
+
+def _shuffle_write_records(spark, group: str) -> list[int]:
+    """Records written by each shuffle the job group ran; a reused or
+    skipped exchange runs no stage and is not listed."""
+    jsc = spark.sparkContext._jsc.sc()
+    jsc.listenerBus().waitUntilEmpty()
+    tracker = spark.sparkContext.statusTracker()
+    jobs = tracker.getJobIdsForGroup(group)
+    stage_ids = {s for j in jobs for s in tracker.getJobInfo(j).stageIds}
+    out = []
+    for sid in sorted(stage_ids):
+        try:
+            sd = jsc.statusStore().lastStageAttempt(sid)
+        except Py4JJavaError:
+            continue  # never attempted: its shuffle output was reused
+        if sd.status().toString() == "COMPLETE" and sd.shuffleWriteRecords() > 0:
+            out.append(sd.shuffleWriteRecords())
+    return out
+
+
+class TestPlanShape:
+    def test_example7_factor_plan_shuffles_events_once(self, spark, events):
+        agg = get_aggregate("sum")
+        m = optimize(EX7, agg, eta=1)
+        assert m.factors and any(len(m.children(w)) > 1 for w in m.windows)
+        sc = spark.sparkContext
+        jsc = sc._jsc.sc()
+        cached_before = {i.id() for i in jsc.getRDDStorageInfo()}
+        res = execute_wcg(events, m, agg)
+        try:
+            sc.setJobGroup("ex7-plan-shape", "ex7-plan-shape")
+            try:
+                res.output.collect()
+            finally:
+                sc.setLocalProperty("spark.jobGroup.id", None)
+            # The only shuffle is the key exchange: every event, once.
+            assert _shuffle_write_records(spark, "ex7-plan-shape") == [events.count()]
+            # AQE coalesces the persisted shared node's few KB like any
+            # other shuffle output instead of keeping every partition.
+            cached = [i for i in jsc.getRDDStorageInfo() if i.id() not in cached_before]
+            assert len(cached) == len(res.persisted) > 0
+            assert [i.numPartitions() for i in cached] == [1] * len(cached)
         finally:
             res.unpersist()
 
