@@ -11,18 +11,16 @@ to window sets):
 * holistic functions (MEDIAN, …) cannot roll up at all and are rejected.
 
 Each supported aggregate is described by an :class:`AggSpec` holding the
-Spark column expressions for its partial state, its merge step (combining
-partials along a WCG edge), and its finalizer, so the plan executor can
-build rewritten DataFrame plans without per-aggregate special cases.
+Spark SQL text of its partial state, its merge step (combining partials
+along a WCG edge), and its finalizer, so the plan executor can build
+rewritten DataFrame plans without per-aggregate special cases. SQL text
+costs one call into the JVM per expression, where a tree of ``Column``
+objects costs one per node.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
-
-from pyspark.sql import Column
-from pyspark.sql import functions as F
 
 
 class Semantics(Enum):
@@ -36,20 +34,21 @@ class Semantics(Enum):
 class AggSpec:
     """Partial/merge/final decomposition of one aggregate function.
 
-    ``partial_exprs(value_col)`` aggregates raw events into the named
-    partial-state columns; ``merge_exprs()`` combines partial states of an
+    ``partial`` aggregates raw events (value column ``v``) into the named
+    partial-state columns; ``merge`` combines partial states of an
     upstream window into the same-named partial states of a downstream
-    window; ``final_expr()`` turns partial state into the user-visible
-    result column. For distributive functions merge == partial-on-state;
-    for algebraic AVG the state is (sum, count) and final divides.
+    window; ``final`` turns partial state into the user-visible result.
+    All three are Spark SQL text. For distributive functions merge ==
+    partial-on-state; for algebraic AVG the state is (sum, count) and
+    final divides.
     """
 
     name: str
     semantics: Semantics
     state_cols: tuple[str, ...]
-    partial_exprs: Callable[[str], list[Column]] = field(repr=False)
-    merge_exprs: Callable[[], list[Column]] = field(repr=False)
-    final_expr: Callable[[], Column] = field(repr=False)
+    partial: tuple[str, ...]
+    merge: tuple[str, ...]
+    final: str
 
     def duckdb_expr(self, value_col: str) -> str:
         """The equivalent DuckDB aggregate expression, for the oracle."""
@@ -59,63 +58,41 @@ class AggSpec:
         return f"{fn}({value_col})"
 
 
-def _ordered_sum(c: Column) -> Column:
+def _ordered_sum(c: str) -> str:
     """SUM of the pieces in ``c`` added in ascending order, so that plans
     delivering the same pieces in different orders (batch or streaming,
     however partitioned) return the same bits despite floating point."""
-    fold = F.aggregate(F.array_sort(F.collect_list(c)), F.lit(0.0), lambda acc, x: acc + x)
-    return F.when(F.count(c) > 0, fold)
+    fold = f"aggregate(array_sort(collect_list({c})), 0D, (acc, x) -> acc + x)"
+    return f"if(count({c}) > 0, {fold}, NULL) AS {c}"
 
 
-def _distributive(name: str, semantics: Semantics, spark_fn, merge_fn=None) -> AggSpec:
+def _distributive(name: str, semantics: Semantics, merge: str | None = None) -> AggSpec:
     state = f"_{name}"
     return AggSpec(
         name=name,
         semantics=semantics,
         state_cols=(state,),
-        partial_exprs=lambda v, fn=spark_fn, s=state: [fn(F.col(v)).alias(s)],
-        merge_exprs=lambda fn=merge_fn or spark_fn, s=state: [fn(F.col(s)).alias(s)],
-        final_expr=lambda s=state: F.col(s),
-    )
-
-
-def _count() -> AggSpec:
-    # COUNT is distributive but its merge function g is SUM (§3.1).
-    state = "_count"
-    return AggSpec(
-        name="count",
-        semantics=Semantics.PARTITIONED_BY,
-        state_cols=(state,),
-        partial_exprs=lambda v, s=state: [F.count(F.col(v)).alias(s)],
-        merge_exprs=lambda s=state: [F.sum(F.col(s)).alias(s)],
-        final_expr=lambda s=state: F.col(s),
-    )
-
-
-def _avg() -> AggSpec:
-    # AVG is algebraic: g = (sum, count), h = sum/count (§3.1).
-    return AggSpec(
-        name="avg",
-        semantics=Semantics.PARTITIONED_BY,
-        state_cols=("_sum", "_count"),
-        partial_exprs=lambda v: [
-            F.sum(F.col(v)).alias("_sum"),
-            F.count(F.col(v)).alias("_count"),
-        ],
-        merge_exprs=lambda: [
-            _ordered_sum(F.col("_sum")).alias("_sum"),
-            F.sum(F.col("_count")).alias("_count"),
-        ],
-        final_expr=lambda: F.col("_sum") / F.col("_count"),
+        partial=(f"{name}(v) AS {state}",),
+        merge=(merge or f"{name}({state}) AS {state}",),
+        final=state,
     )
 
 
 AGGREGATES: dict[str, AggSpec] = {
-    "min": _distributive("min", Semantics.COVERED_BY, F.min),
-    "max": _distributive("max", Semantics.COVERED_BY, F.max),
-    "sum": _distributive("sum", Semantics.PARTITIONED_BY, F.sum, _ordered_sum),
-    "count": _count(),
-    "avg": _avg(),
+    "min": _distributive("min", Semantics.COVERED_BY),
+    "max": _distributive("max", Semantics.COVERED_BY),
+    "sum": _distributive("sum", Semantics.PARTITIONED_BY, _ordered_sum("_sum")),
+    # COUNT is distributive but its merge function g is SUM (§3.1).
+    "count": _distributive("count", Semantics.PARTITIONED_BY, "sum(_count) AS _count"),
+    # AVG is algebraic: g = (sum, count), h = sum/count (§3.1).
+    "avg": AggSpec(
+        name="avg",
+        semantics=Semantics.PARTITIONED_BY,
+        state_cols=("_sum", "_count"),
+        partial=("sum(v) AS _sum", "count(v) AS _count"),
+        merge=(_ordered_sum("_sum"), "sum(_count) AS _count"),
+        final="_sum / _count",
+    ),
 }
 
 HOLISTIC = frozenset({"median", "rank", "percentile", "mode"})

@@ -17,16 +17,15 @@ aggregates (Theorem 5).
 from __future__ import annotations
 
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.core.aggregates import AggSpec
 from repro.core.windows import Window
-from repro.engine.window_agg import aggregate_instances, assign
+from repro.engine.window_agg import assign, merge_instances
 
 
 def rollup(upstream: DataFrame, child: Window, agg: AggSpec) -> DataFrame:
     """Partial states of ``child`` computed from ``upstream`` partials."""
-    return aggregate_instances(upstream, child, agg, agg.merge_exprs())
+    return merge_instances(assign(upstream, child, "key", *agg.state_cols), child, agg.merge)
 
 
 def assignment_count(upstream: DataFrame, child: Window, horizon: int) -> int:
@@ -34,4 +33,4 @@ def assignment_count(upstream: DataFrame, child: Window, horizon: int) -> int:
     pairs the rollup processes, restricted to downstream instances fully
     inside ``[0, horizon]`` — the executed analogue of the cost model's
     ``n_1 · M(W_1, W_2)`` (per key)."""
-    return assign(upstream, child).where(F.col("_start") + child.r <= horizon).count()
+    return assign(upstream, child).where(f"_start + {child.r} <= {horizon}").count()

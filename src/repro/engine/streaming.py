@@ -56,15 +56,13 @@ def build_streaming_partials(
         parent = mincost.parent[w]
         if parent is None:
             win = F.window(F.col("ts"), f"{w.r} seconds", f"{w.s} seconds")
-            df = src.groupBy(win.alias("w"), F.col("key")).agg(
-                *agg.partial_exprs("v")
-            )
+            df = src.groupBy(win.alias("w"), F.col("key")).agg(*map(F.expr, agg.partial))
         else:
             up = partials[parent]
             win = F.window(
                 F.window_time(F.col("w")), f"{w.r} seconds", f"{w.s} seconds"
             )
-            df = up.groupBy(win.alias("w"), F.col("key")).agg(*agg.merge_exprs())
+            df = up.groupBy(win.alias("w"), F.col("key")).agg(*map(F.expr, agg.merge))
         partials[w] = df
     return partials
 
@@ -77,7 +75,7 @@ def finalize_streaming(partials: DataFrame, w: Window, agg: AggSpec) -> DataFram
             F.unix_timestamp(F.col("w.start")).alias("win_start"),
             F.unix_timestamp(F.col("w.end")).alias("win_end"),
             F.col("key"),
-            agg.final_expr().alias("value"),
+            F.expr(agg.final).alias("value"),
         )
         .where(F.col("win_start") >= 0)
     )

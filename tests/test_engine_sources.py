@@ -1,0 +1,40 @@
+"""Source checks on the Spark engine that need no Spark: no Python UDF
+sits on a hot path, so every operator stays inside Catalyst and the JVM."""
+import ast
+from pathlib import Path
+
+import pytest
+
+ENGINE = Path(__file__).resolve().parent.parent / "src" / "repro" / "engine"
+PYTHON_UDFS = {"mapInPandas", "applyInPandas", "pandas_udf", "udf"}
+
+
+def _udf_uses(path: Path) -> list[str]:
+    """Every name, attribute or import of a Python UDF entry point in ``path``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name.rsplit(".", 1)[-1]
+        else:
+            continue
+        if name in PYTHON_UDFS:
+            found.append(f"{path.name}:{getattr(node, 'lineno', '?')}: {name}")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(ENGINE.glob("*.py")), ids=lambda p: p.name)
+def test_engine_calls_no_python_udf(path):
+    assert _udf_uses(path) == []
+
+
+def test_check_finds_a_python_udf(tmp_path):
+    src = tmp_path / "probe.py"
+    src.write_text(
+        "from pyspark.sql.functions import pandas_udf\n"
+        "def f(df):\n    return df.mapInPandas(g, schema=s).select(F.udf(h)('v'))\n"
+    )
+    assert [u.split(": ")[1] for u in _udf_uses(src)] == ["pandas_udf", "mapInPandas", "udf"]

@@ -14,7 +14,9 @@ from repro.engine.oracle_sql import multi_window_sql
 from repro.engine.streams import event_stream, event_stream_pdf, lineitem_stream
 from repro.engine.window_agg import finalize, partial_window_agg, window_id
 from repro.engine.rollup import rollup
+from repro.engine.sliced_exec import slice_partials, sliced_window_agg
 from repro.oracle import assert_equivalent
+from repro.slicing.compose import composed_edges
 from repro.workloads.generators import chain_gen, star_gen
 
 EX6 = [Window(x, x) for x in (10, 20, 30, 40)]
@@ -238,6 +240,63 @@ class TestPlanShape:
             assert [i.numPartitions() for i in cached] == [1] * len(cached)
         finally:
             res.unpersist()
+
+    def test_shared_paired_slicing_shuffles_events_once(self, spark, events):
+        agg = get_aggregate("sum")
+        jsc = spark.sparkContext._jsc.sc()
+        cached_before = {i.id() for i in jsc.getRDDStorageInfo()}
+        got = sliced_window_agg(events, EX7, agg, horizon=HORIZON)
+        # The edges a caller lists up to its horizon, as the benchmark
+        # does, name the same persisted plan as the two periods SP lists.
+        edges = composed_edges(EX7, "paired", HORIZON + max(w.r for w in EX7))
+        try:
+            spark.sparkContext.setJobGroup("sp-plan-shape", "sp-plan-shape")
+            try:
+                got.collect()
+            finally:
+                spark.sparkContext.setLocalProperty("spark.jobGroup.id", None)
+            # The only shuffle is the key exchange: every event, once.
+            assert _shuffle_write_records(spark, "sp-plan-shape") == [events.count()]
+            cached = [i for i in jsc.getRDDStorageInfo() if i.id() not in cached_before]
+            assert [i.numPartitions() for i in cached] == [1]
+        finally:
+            slice_partials(events, edges, agg).unpersist()
+        assert {i.id() for i in jsc.getRDDStorageInfo()} <= cached_before
+
+    @pytest.mark.parametrize("horizon", [60, 600])
+    def test_callers_edges_release_sp_cache(self, spark, horizon):
+        # Up to 2·S = 240 SP lists the caller's edges; past it, two periods
+        # of them, which show the same period and so name the same plan.
+        ev = event_stream(spark, horizon=horizon, eta=1, n_keys=2, seed=3)
+        agg = get_aggregate("sum")
+        jsc = spark.sparkContext._jsc.sc()
+        cached_before = {i.id() for i in jsc.getRDDStorageInfo()}
+        sliced_window_agg(ev, EX7, agg, horizon=horizon).collect()
+        assert {i.id() for i in jsc.getRDDStorageInfo()} > cached_before
+        slice_partials(ev, composed_edges(EX7, "paired", horizon + 40), agg).unpersist()
+        assert {i.id() for i in jsc.getRDDStorageInfo()} <= cached_before
+
+    @pytest.mark.parametrize("plan", ["bl", "wcg_fw", "sp"])
+    def test_plans_keep_the_callers_cache(self, spark, plan):
+        ev = event_stream(spark, horizon=60, eta=1, n_keys=2, seed=3).persist()
+        try:
+            ev.count()
+            level = ev.storageLevel
+            agg = get_aggregate("sum")
+            if plan == "bl":
+                execute_baseline(ev, EX7, agg).collect()
+            elif plan == "wcg_fw":
+                res = execute_wcg(ev, optimize(EX7, agg, eta=1), agg)
+                res.output.collect()
+                res.unpersist()
+            else:
+                sliced_window_agg(ev, EX7, agg, horizon=60).collect()
+                slice_partials(ev, composed_edges(EX7, "paired", 100), agg).unpersist()
+            assert ev.storageLevel == level
+            scan = ev.groupBy("key").count()._jdf.queryExecution().executedPlan().toString()
+            assert "InMemoryTableScan" in scan
+        finally:
+            ev.unpersist()
 
 
 class TestLineitemStream:
