@@ -128,3 +128,17 @@ def test_bench_hop_wcg(benchmark, spark, hop_events):
         return n
 
     _bench_once(benchmark, run, expect)
+
+
+@pytest.mark.benchmark(group="exec-hop")
+def test_bench_hop_wcg_fw(benchmark, spark, hop_events):
+    expect = _expected_rows(hop_events, HOP)
+    m = optimize(HOP, MIN, eta=HOP_ETA)
+
+    def run():
+        res = execute_wcg(hop_events, m, MIN)
+        n = len(res.output.collect())
+        res.unpersist()
+        return n
+
+    _bench_once(benchmark, run, expect)

@@ -14,9 +14,10 @@ SESSION_DEFAULTS = {
     "spark.sql.shuffle.partitions": "64",
     "spark.sql.execution.arrow.pyspark.enabled": "true",
     "spark.sql.autoBroadcastJoinThreshold": "-1",
-    # Let AQE coalesce the shuffles of persisted plans (shared forest
-    # nodes, slice partials) like any other; by default a cached plan
-    # keeps every one of its shuffle partitions.
+    # Let AQE coalesce the shuffles of persisted plans (partials that a
+    # caller caches, as the benchmark's per-window metering does) like any
+    # other; by default a cached plan keeps every one of its shuffle
+    # partitions. The engine's own plans persist nothing.
     "spark.sql.optimizer.canChangeCachedPlanOutputPartitioning": "true",
 }
 

@@ -45,7 +45,7 @@ def transitive_reduction_children(g: WCG, w: Window) -> list[Window]:
     """
     cs = g.edges[w]
     return sorted(
-        c for c in cs if not any(o != c and c != w and covers(c, o) for o in cs)
+        c for c in cs if not any(edge_allowed(c, o, g.semantics) for o in cs)
     )
 
 
@@ -189,8 +189,10 @@ def algorithm4(
 ) -> Window | None:
     """Algorithm 4: best factor window under "partitioned by" semantics.
 
-    Candidate ranges are the common factors of the child ranges that are
-    multiples of ``r_W`` (all candidates tumbling, Theorem 4); candidates
+    Candidate ranges are the common factors of the child ranges and
+    slides that are multiples of ``r_W`` (all candidates tumbling, and a
+    tumbling window partitions a child only if its range divides the
+    child's range and slide, Theorem 4); candidates
     rejected by Algorithm 3 or *dependent* on (covered by) another
     candidate are pruned; the winner minimizes the Figure-9 pattern cost
     (exactly what Theorem 9's comparator decides — tests assert the
@@ -202,7 +204,7 @@ def algorithm4(
     if not children or not w.is_tumbling:
         return None
     taken = taken or set()
-    d = gcd_many([c.r for c in children])
+    d = gcd_many([x for c in children for x in (c.r, c.s)])
     if d == w.r:
         return None  # line 3: no room between W and its children
     cands = []

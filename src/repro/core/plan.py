@@ -14,8 +14,8 @@ window set with the min-cost WCG forest, inserting a MultiCast after
 every window with downstream consumers and connecting factor windows so
 their output feeds children but never the Union (Figure 2(a), right).
 
-These plan objects are engine-independent; :mod:`repro.engine.executor`
-interprets them on Spark DataFrames.
+These plan objects only describe a plan; :mod:`repro.engine.executor`
+runs the forest itself, each MultiCast as a level of one chain.
 """
 from __future__ import annotations
 

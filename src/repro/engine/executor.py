@@ -1,85 +1,94 @@
 """Execute plans (min-cost WCG forests) on Spark DataFrames.
 
-``execute_wcg`` is the engine's one interpreter of a
-:class:`~repro.core.mincost.MinCostWCG`; ``execute_baseline`` runs the
-Figure-1(b) plan as the forest with no edges. It repartitions the events
-by key; every window then runs the same assignment operator in
-topological order: root windows aggregate the raw stream
-(:func:`partial_window_agg`), children roll up their parent's partial
-states (:func:`rollup`). An (instance, key) aggregate over rows
-partitioned by key needs no exchange, so no window plans another one.
-The result unions the finalized rows of every *exposed* window — factor
-windows are computed but contribute no output rows, exactly as §4
-requires. Windows with several children are shared sub-plans (the
-MultiCast of §3.3), persisted so that Spark does not recompute them.
-
-The one shuffle gives up Spark's map-side partial aggregation and any
-parallelism beyond one task per key, for fewer stages. That pays where
-fixed per-stage costs dominate, as at 10^4–10^5 events; at 4.8M events
-shuffling each root's partial states by key is faster (EXPERIMENTS.md §5).
+``execute_wcg`` is the engine's one interpreter of a forest: BL
+(``execute_baseline``) is the forest with no edges, and shared paired
+slicing (:mod:`repro.engine.sliced_exec`) the forest rooted at its slice
+set. :func:`run_chain` shuffles the events by key once, then runs one
+level of the assignment operator (:mod:`repro.engine.window_agg`) per
+depth of the forest, each over the rows of every window at that depth.
+Level ``L`` routes each row of level ``L − 1`` to its window's children
+(``CASE pmod(_c, K) WHEN i THEN …``) and carries the rows of exposed
+windows forward under their own code: a group of one merges to itself,
+so this level is §3.3's MultiCast, with nothing persisted or unioned.
+A factor window's rows drop out after its children's level, and one
+projection decodes the last level. Rows partitioned by key need no
+further exchange (EXPERIMENTS.md §5 weighs the one shuffle).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, Hashable, Mapping
 
 from pyspark.sql import DataFrame
 
 from repro.core.aggregates import AggSpec
 from repro.core.mincost import MinCostWCG
-from repro.core.windows import Window, hyperperiod
-from repro.engine.rollup import rollup
-from repro.engine.window_agg import finalize, partial_window_agg
+from repro.core.windows import Window
+from repro.engine.window_agg import aggregate, codes, concat, decode, roots, window_id
 
 
 @dataclass
 class ExecutionResult:
-    """The unioned output plus handles for cleanup/inspection."""
+    """The plan's output, and its nodes' partial states built on demand."""
 
     output: DataFrame
-    partials: dict[Window, DataFrame]
-    persisted: list[DataFrame] = field(default_factory=list)
+    _partials: Callable[[], dict[Hashable, DataFrame]]
+
+    @cached_property
+    def partials(self) -> dict[Hashable, DataFrame]:
+        """Each node's states ``(win_start, win_end, key, *state)`` at its level."""
+        return self._partials()
 
     def unpersist(self) -> None:
-        for df in self.persisted:
-            df.unpersist()
+        """Nothing to release: a chain persists nothing."""
+
+
+def run_chain(
+    events: DataFrame, parent: Mapping[Hashable, Hashable | None], exposed: set[Window],
+    agg: AggSpec,
+) -> ExecutionResult:
+    """Run the forest ``parent`` (node → the node it rolls up, ``None``
+    for a root: a window, or a slice set that reads events) with the rows
+    of ``exposed`` as output. A node that is not exposed has children."""
+    nodes, k, u = list(parent), len(parent), f"_c div {len(parent)}"
+    # SQL for the end of each node's instance that starts at u.
+    end = {n: f"{u} + {n.r}" if isinstance(n, Window) else n.end(u) for n in nodes}
+    depth = dict.fromkeys(nodes, 0)
+    for _ in nodes:  # k passes settle every depth of a forest of k nodes
+        depth = {n: 0 if p is None else depth[p] + 1 for n, p in parent.items()}
+    at_roots = (
+        codes(n, i, k, "tick", "tick + 1") if isinstance(n, Window) else n.codes(i, k, "tick")
+        for i, n in enumerate(nodes) if parent[n] is None
+    )
+    levels = [roots(events.repartition("key"), concat(at_roots), agg)]
+    for d in range(1, max(depth.values()) + 1):
+        routes = " ".join(
+            f"WHEN {i} THEN " + concat(["array(_c)"] * (p in exposed) + [
+                codes(c, nodes.index(c), k, u, end[p]) for c in nodes if parent[c] == p
+            ])
+            for i, p in enumerate(nodes) if depth[p] == d - 1 and p in parent.values()
+        )
+        levels.append(aggregate(
+            levels[-1], f"CASE pmod(_c, {k}) {routes} ELSE array(_c) END", agg.merge, agg.state_cols
+        ))
+    at = f"int(pmod(_c, {k})) + 1"
+    ids = ", ".join(f"'{window_id(n)}'" if n in exposed else "''" for n in nodes)
+    ranges = ", ".join(str(n.r) if n in exposed else "0" for n in nodes)
+    output = levels[-1].selectExpr(
+        f"element_at(array({ids}), {at}) AS window_id", f"{u} AS win_start",
+        f"{u} + element_at(array({ranges}), {at}) AS win_end", "key", f"{agg.final} AS value",
+    )
+    return ExecutionResult(output, lambda: {
+        n: decode(levels[depth[n]], i, k, end[n], agg.state_cols) for i, n in enumerate(nodes)
+    })
 
 
 def execute_wcg(events: DataFrame, mincost: MinCostWCG, agg: AggSpec) -> ExecutionResult:
-    """Run the plan; returns the union over exposed windows."""
-    keyed = events.repartition("key")
-    partials: dict[Window, DataFrame] = {}
-    persisted: list[DataFrame] = []
-    for w in mincost.topological():
-        parent = mincost.parent[w]
-        if parent is None:
-            df = partial_window_agg(keyed, w, agg)
-        else:
-            df = rollup(partials[parent], w, agg)
-        if len(mincost.children(w)) > 1:
-            df = df.persist()
-            persisted.append(df)
-        partials[w] = df
-
-    output: DataFrame | None = None
-    for w in sorted(mincost.exposed()):
-        d = finalize(partials[w], w, agg)
-        output = d if output is None else output.unionByName(d)
-    assert output is not None, "plan exposes no windows"
-    return ExecutionResult(output=output, partials=partials, persisted=persisted)
+    """Run the plan; the output has the rows of every exposed window."""
+    return run_chain(events, mincost.parent, set(mincost.exposed()), agg)
 
 
-def execute_baseline(
-    events: DataFrame, windows: list[Window], agg: AggSpec
-) -> DataFrame:
-    """Run the Figure-1(b) plan (each window from raw, unioned): the
-    forest with no edges. Running a forest reads only its shape, so this
-    one carries no costs."""
-    forest = MinCostWCG(
-        windows=list(windows),
-        parent=dict.fromkeys(windows),
-        cost={},
-        factors=set(),
-        R=hyperperiod(windows),
-        eta=1,
-    )
-    return execute_wcg(events, forest, agg).output
+def execute_baseline(events: DataFrame, windows: list[Window], agg: AggSpec) -> DataFrame:
+    """Run the Figure-1(b) plan, each window from raw: the forest with no edges."""
+    return run_chain(events, dict.fromkeys(windows), set(windows), agg).output

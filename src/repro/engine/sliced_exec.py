@@ -1,25 +1,18 @@
 """Executable window slicing (paned / paired, shared and unshared).
 
-The analytic Table-1 costs describe this dataflow; here it actually runs
-on Spark so the substrate itself is verified against the baseline plan.
-Shared slicing runs as a forest of the engine's own operators:
+The analytic Table-1 costs describe this dataflow; here it runs on Spark,
+checked against the baseline plan, as a forest of the engine
+(:func:`repro.engine.executor.run_chain`) rooted at slice sets: level 0
+aggregates each event into its slice per key, and level 1 rolls each
+window up from the slices it fully contains (every boundary is an edge).
 
-1. the events at ``tick ≥ 0`` are shuffled by key once;
-2. every event is assigned to its slice ``[slice_start, slice_end)`` in
-   pure SQL. Slices are not equi-width, but their edges repeat with a
-   period ``P`` dividing ``S = lcm(slides)``, and every multiple of ``P``
-   is an edge; so ``tick − pmod(tick, P)`` plus a lookup of
-   ``pmod(tick, P)`` in two literal arrays of length ``P`` bounds the slice.
-   The edges are listed over the stream's span plus the largest range, or
-   over ``2·S`` when that is shorter, so ``P`` never outgrows the stream;
-3. partial aggregate per (slice, key) — the shared node (MultiCast),
-   persisted;
-4. each window rolls up the slice partials it fully contains with the
-   rollup operator, since every firing boundary is itself a slice edge.
-   The slices are already partitioned by key, so no rollup shuffles.
-
-``shared=True`` composes one slice set for the whole window set (slices
-computed once); ``shared=False`` slices per window independently.
+Slice edges repeat with a period ``P`` dividing ``S = lcm(slides)``, and
+every multiple of ``P`` is an edge, so ``tick − pmod(tick, P)`` plus a
+lookup of ``pmod(tick, P)`` in two literal arrays of length ``P`` bounds
+an event's slice in pure SQL. The edges are listed over the stream's span
+plus the largest range, or over ``2·S`` when shorter, so ``P`` never
+outgrows the stream. ``shared=True`` composes one slice set for the whole
+window set; ``shared=False`` slices per window independently.
 """
 from __future__ import annotations
 
@@ -31,8 +24,8 @@ from pyspark.sql import functions as F
 
 from repro.core.aggregates import AggSpec
 from repro.core.windows import Window
-from repro.engine.rollup import rollup
-from repro.engine.window_agg import finalize
+from repro.engine.executor import run_chain
+from repro.engine.window_agg import decode, roots
 from repro.slicing.compose import composed_edges, slide_period
 
 
@@ -56,40 +49,53 @@ def edge_period(edges: list[int]) -> int:
     return p if 2 * p <= edges[-1] else edges[-1]
 
 
+class Slices:
+    """The slices that the sorted ``edges`` bound, as a root of a plan.
+    Past the last edge they repeat with the list's :func:`edge_period`
+    ``P``; a list that shows no period ends there."""
+
+    def __init__(self, edges: list[int]):
+        p = edge_period(edges)
+        ends = [e for e in edges if e <= p]
+        slot = [bisect_right(ends, i) for i in range(p)]  # slice of each offset
+        self.p, self.ends_at_p = p, p == edges[-1]
+        self.starts, self.stops = (_int_array(b[k] for k in slot) for b in ([0] + ends, ends))
+
+    def _bound(self, t: str, bounds: str) -> str:
+        return f"{t} - pmod({t}, {self.p}) + element_at({bounds}, int(pmod({t}, {self.p})) + 1)"
+
+    def end(self, t: str) -> str:
+        """SQL for the end of the slice that holds tick ``t``."""
+        return self._bound(t, self.stops)
+
+    def codes(self, i: int, k: int, tick: str) -> str:
+        """SQL array of the code of the slice (node ``i`` of ``k``) that
+        holds ``tick``, if any."""
+        code = f"array(({self._bound(tick, self.starts)}) * {k} + {i})"
+        return f"if({tick} < {self.p}, {code}, array())" if self.ends_at_p else code
+
+
 def assign_slices(events: DataFrame, edges: list[int]) -> DataFrame:
-    """Events at ``tick ≥ 0`` with their slice's ``[slice_start, slice_end)``
-    among the slices the sorted ``edges`` bound. Past the last edge the
-    slices repeat with the list's :func:`edge_period`; a list that shows
-    no period ends there, and later events belong to no slice."""
-    p = edge_period(edges)
-    ends = [e for e in edges if e <= p]
-    slot = [bisect_right(ends, i) for i in range(p)]  # slice of each offset
-    firsts = [0] + ends
-    starts, stops = _int_array(firsts[k] for k in slot), _int_array(ends[k] for k in slot)
-    base, i = f"tick - pmod(tick, {p})", f"int(pmod(tick, {p})) + 1"
-    past = "" if p < edges[-1] else f" AND tick < {p}"
-    return events.where(f"tick >= 0{past}").selectExpr(
-        "*",
-        f"{base} + element_at({starts}, {i}) AS slice_start",
-        f"{base} + element_at({stops}, {i}) AS slice_end",
+    """Events at ``tick ≥ 0`` with their slice's ``[slice_start, slice_end)``."""
+    s = Slices(edges)
+    assigned = events.where("tick >= 0").selectExpr(
+        "*", f"explode({s.codes(0, 1, 'tick')}) AS slice_start"
     )
+    return assigned.selectExpr("*", f"{s.end('slice_start')} AS slice_end")
 
 
 def _int_array(values: Iterable[int]) -> str:
     """An integer array literal as one SQL string that Catalyst folds once;
-    an ``array(…)`` call with one argument per entry takes seconds to
-    analyse at ~10⁵ entries."""
+    an ``array(…)`` call of ~10⁵ arguments takes seconds to analyse."""
     return f"cast(split('{','.join(map(str, values))}', ',') AS array<int>)"
 
 
 def slice_partials(events: DataFrame, edges: list[int], agg: AggSpec) -> DataFrame:
     """Partial aggregate per (slice, key) — the "Partial" cost column —
-    over the events shuffled by key once."""
-    return (
-        assign_slices(events.repartition("key"), edges)
-        .groupBy(F.expr("slice_start AS win_start"), F.expr("slice_end AS win_end"), "key")
-        .agg(*map(F.expr, agg.partial))
-    )
+    over the events shuffled by key: the root level of a sliced plan."""
+    s = Slices(edges)
+    level = roots(events.repartition("key"), s.codes(0, 1, "tick"), agg)
+    return decode(level, 0, 1, s.end("_c"), agg.state_cols)
 
 
 def _edges(windows: list[Window], technique: str, horizon: int) -> list[int]:
@@ -115,19 +121,11 @@ def sliced_window_agg(
     ``horizon`` is the stream's span, its last tick + 1 when ``None``.
     Events past it still fall in their slices when ``2·S ≤ horizon + max r``,
     as the listed slices then repeat; otherwise events past the listed
-    edges drop out (see :func:`assign_slices`)."""
+    edges drop out (see :class:`Slices`)."""
     if horizon is None:
         horizon = max((events.agg(F.max("tick")).first()[0] or 0) + 1, 0)
-    if shared:
-        partials = slice_partials(events, _edges(windows, technique, horizon), agg).persist()
-        inputs = {w: partials for w in windows}
-    else:
-        inputs = {
-            w: slice_partials(events, _edges([w], technique, horizon), agg) for w in windows
-        }
-    out: DataFrame | None = None
-    for w in sorted(windows):
-        d = finalize(rollup(inputs[w], w, agg), w, agg)
-        out = d if out is None else out.unionByName(d)
-    assert out is not None
-    return out
+    parent: dict = {}
+    for ws in [windows] if shared else [[w] for w in windows]:
+        s = Slices(_edges(ws, technique, horizon))
+        parent.update({s: None, **dict.fromkeys(ws, s)})
+    return run_chain(events, parent, set(windows), agg).output

@@ -21,7 +21,14 @@ from repro.workloads.generators import chain_gen, star_gen
 
 EX6 = [Window(x, x) for x in (10, 20, 30, 40)]
 EX7 = [Window(x, x) for x in (20, 30, 40)]
+HOP = [Window(60, 10), Window(120, 10), Window(240, 10), Window(480, 10)]
 HORIZON = 120
+# One key; null values, one instance with only nulls; events before 0
+# (in no instance) and far past the steady ticks.
+EDGE_ROWS = [
+    (-7, 0, 5.0), (-1, 0, -2.0), (0, 0, 1.5), (3, 0, None), (9, 0, 4.0),
+    (11, 0, None), (12, 0, 2.5), (25, 0, None), (26, 0, None), (95, 0, 7.0),
+]
 
 
 @pytest.fixture(scope="module")
@@ -60,12 +67,7 @@ class TestDirectWindowAgg:
     @pytest.mark.parametrize("agg_name", ["min", "max", "sum", "count", "avg"])
     @pytest.mark.parametrize("stream", ["edges", "empty"])
     def test_root_operator_edge_streams_vs_oracle(self, spark, stream, agg_name, w):
-        # One key; null values, one instance with only nulls; events
-        # before 0 (in no instance) and far past the steady ticks.
-        rows = [] if stream == "empty" else [
-            (-7, 0, 5.0), (-1, 0, -2.0), (0, 0, 1.5), (3, 0, None), (9, 0, 4.0),
-            (11, 0, None), (12, 0, 2.5), (25, 0, None), (26, 0, None), (95, 0, 7.0),
-        ]
+        rows = [] if stream == "empty" else EDGE_ROWS
         ev = spark.createDataFrame(rows, "tick long, key long, v double")
         pdf = pd.DataFrame(rows, columns=["tick", "key", "v"]).astype(
             {"tick": "int64", "key": "int64", "v": "Float64"}
@@ -166,6 +168,26 @@ class TestRewrittenPlans:
         finally:
             res.unpersist()
 
+    @pytest.mark.parametrize("agg_name", ["min", "max", "sum", "count", "avg"])
+    @pytest.mark.parametrize("stream", ["steady", "edges"])
+    def test_carried_rows_equal_their_level_bit_for_bit(self, spark, events, stream, agg_name):
+        # Example 6's WCG computes W(10,10) at level 0 and W(30,30) at
+        # level 1 and carries both to the last level, W(40,40)'s: each
+        # carried row is a group of one, which must merge to itself.
+        agg = get_aggregate(agg_name)
+        if stream == "edges":
+            events = spark.createDataFrame(EDGE_ROWS, "tick long, key long, v double")
+        m = find_min_cost_wcg(EX6, agg, eta=1)
+        last = max(_depth(m, w) for w in m.windows)
+        carried = [w for w in m.exposed() if _depth(m, w) < last]
+        assert carried
+        res = execute_wcg(events, m, agg)
+        for w in carried:
+            own = finalize(res.partials[w], w, agg).collect()
+            out = res.output.where(f"window_id = '{window_id(w)}'").collect()
+            assert own
+            assert sorted(map(repr, out)) == sorted(map(repr, own)), w
+
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("agg_name", ["min", "sum"])
     def test_random_chain_plans_match_baseline(
@@ -216,65 +238,99 @@ def _shuffle_write_records(spark, group: str) -> list[int]:
     return out
 
 
+def _depth(m, w) -> int:
+    return 0 if m.parent[w] is None else 1 + _depth(m, m.parent[w])
+
+
+def _plan(events, plan: str, windows, agg):
+    """The output of one plan over ``windows`` and the number of levels
+    its forest has: one for BL, two for SP (slices, then windows)."""
+    if plan == "bl":
+        return execute_baseline(events, windows, agg), 1
+    if plan == "sp":
+        return sliced_window_agg(events, windows, agg, horizon=HORIZON), 2
+    m = (find_min_cost_wcg if plan == "wcg" else optimize)(windows, agg, eta=1)
+    return execute_wcg(events, m, agg).output, 1 + max(_depth(m, w) for w in m.windows)
+
+
+def _final_plan(df) -> list[str]:
+    """The lines of ``df``'s executed physical plan (the final one, once
+    adaptive execution has run it)."""
+    text = df._jdf.queryExecution().executedPlan().toString()
+    return text.split("== Initial Plan ==")[0].splitlines()
+
+
+def _assert_one_shuffle_no_cache(spark, events, df, levels: int, group: str) -> None:
+    """Collecting ``df`` shuffles every event once and nothing else,
+    caches no RDD, and runs one aggregate per level of its forest."""
+    jsc = spark.sparkContext._jsc.sc()
+    cached_before = {i.id() for i in jsc.getRDDStorageInfo()}
+    spark.sparkContext.setJobGroup(group, group)
+    try:
+        df.collect()
+    finally:
+        spark.sparkContext.setLocalProperty("spark.jobGroup.id", None)
+    assert _shuffle_write_records(spark, group) == [events.count()]
+    assert {i.id() for i in jsc.getRDDStorageInfo()} <= cached_before
+    # Each groupBy plans a partial and a final aggregate with no
+    # exchange between them; count the final ones.
+    aggregates = [
+        line for line in _final_plan(df)
+        if "Aggregate(keys=" in line and "functions=[partial_" not in line
+    ]
+    assert len(aggregates) == levels, "\n".join(aggregates)
+
+
 class TestPlanShape:
     def test_example7_factor_plan_shuffles_events_once(self, spark, events):
         agg = get_aggregate("sum")
         m = optimize(EX7, agg, eta=1)
         assert m.factors and any(len(m.children(w)) > 1 for w in m.windows)
-        sc = spark.sparkContext
-        jsc = sc._jsc.sc()
-        cached_before = {i.id() for i in jsc.getRDDStorageInfo()}
-        res = execute_wcg(events, m, agg)
-        try:
-            sc.setJobGroup("ex7-plan-shape", "ex7-plan-shape")
-            try:
-                res.output.collect()
-            finally:
-                sc.setLocalProperty("spark.jobGroup.id", None)
-            # The only shuffle is the key exchange: every event, once.
-            assert _shuffle_write_records(spark, "ex7-plan-shape") == [events.count()]
-            # AQE coalesces the persisted shared node's few KB like any
-            # other shuffle output instead of keeping every partition.
-            cached = [i for i in jsc.getRDDStorageInfo() if i.id() not in cached_before]
-            assert len(cached) == len(res.persisted) > 0
-            assert [i.numPartitions() for i in cached] == [1] * len(cached)
-        finally:
-            res.unpersist()
+        df, levels = _plan(events, "wcg_fw", EX7, agg)
+        _assert_one_shuffle_no_cache(spark, events, df, levels, "ex7-plan-shape")
 
     def test_shared_paired_slicing_shuffles_events_once(self, spark, events):
-        agg = get_aggregate("sum")
-        jsc = spark.sparkContext._jsc.sc()
-        cached_before = {i.id() for i in jsc.getRDDStorageInfo()}
-        got = sliced_window_agg(events, EX7, agg, horizon=HORIZON)
-        # The edges a caller lists up to its horizon, as the benchmark
-        # does, name the same persisted plan as the two periods SP lists.
-        edges = composed_edges(EX7, "paired", HORIZON + max(w.r for w in EX7))
-        try:
-            spark.sparkContext.setJobGroup("sp-plan-shape", "sp-plan-shape")
-            try:
-                got.collect()
-            finally:
-                spark.sparkContext.setLocalProperty("spark.jobGroup.id", None)
-            # The only shuffle is the key exchange: every event, once.
-            assert _shuffle_write_records(spark, "sp-plan-shape") == [events.count()]
-            cached = [i for i in jsc.getRDDStorageInfo() if i.id() not in cached_before]
-            assert [i.numPartitions() for i in cached] == [1]
-        finally:
-            slice_partials(events, edges, agg).unpersist()
-        assert {i.id() for i in jsc.getRDDStorageInfo()} <= cached_before
+        df, levels = _plan(events, "sp", EX7, get_aggregate("sum"))
+        _assert_one_shuffle_no_cache(spark, events, df, levels, "sp-plan-shape")
+
+    @pytest.mark.parametrize(
+        "plan, windows, agg_name",
+        [("bl", EX7, "sum"), ("wcg", EX7, "sum")]
+        + [(p, HOP, "min") for p in ("bl", "wcg", "wcg_fw", "sp")],
+        ids=["bl-ex7", "wcg-ex7", "bl-hop", "wcg-hop", "wcg_fw-hop", "sp-hop"],
+    )
+    def test_plan_shuffles_events_once_per_level_aggregate(
+        self, spark, events, request, plan, windows, agg_name
+    ):
+        df, levels = _plan(events, plan, windows, get_aggregate(agg_name))
+        _assert_one_shuffle_no_cache(spark, events, df, levels, request.node.name)
+
+    @pytest.mark.parametrize("windows", [EX7, HOP], ids=["ex7", "hop"])
+    @pytest.mark.parametrize("plan", ["bl", "wcg", "wcg_fw", "sp"])
+    def test_assignment_has_no_lambda(self, spark, events, plan, windows):
+        # A higher-order lambda (transform(…, x -> …)) is interpreted row
+        # by row: building the codes with one made BL on the HOP chain
+        # about 1.5× slower. Only the merges (the ordered SUM fold) may
+        # use one, and they sit in the aggregates, not in Generate.
+        agg = get_aggregate("sum" if windows is EX7 else "min")
+        df, _ = _plan(events, plan, windows, agg)
+        generates = [line for line in _final_plan(df) if "Generate " in line]
+        assert generates
+        assert not [g for g in generates if "lambdafunction" in g.lower()]
 
     @pytest.mark.parametrize("horizon", [60, 600])
     def test_callers_edges_release_sp_cache(self, spark, horizon):
         # Up to 2·S = 240 SP lists the caller's edges; past it, two periods
-        # of them, which show the same period and so name the same plan.
+        # of them. Either way SP caches nothing, and a caller that
+        # unpersists the slices by its own edges releases nothing else.
         ev = event_stream(spark, horizon=horizon, eta=1, n_keys=2, seed=3)
         agg = get_aggregate("sum")
         jsc = spark.sparkContext._jsc.sc()
         cached_before = {i.id() for i in jsc.getRDDStorageInfo()}
         sliced_window_agg(ev, EX7, agg, horizon=horizon).collect()
-        assert {i.id() for i in jsc.getRDDStorageInfo()} > cached_before
+        assert {i.id() for i in jsc.getRDDStorageInfo()} == cached_before
         slice_partials(ev, composed_edges(EX7, "paired", horizon + 40), agg).unpersist()
-        assert {i.id() for i in jsc.getRDDStorageInfo()} <= cached_before
+        assert {i.id() for i in jsc.getRDDStorageInfo()} == cached_before
 
     @pytest.mark.parametrize("plan", ["bl", "wcg_fw", "sp"])
     def test_plans_keep_the_callers_cache(self, spark, plan):

@@ -1,8 +1,11 @@
 """Factor windows (§4): Equations 2–3, Algorithms 2–4, Theorems 8–9,
 and the paper's Examples 7 and 8."""
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.aggregates import Semantics, get_aggregate
+from repro.core.aggregates import AGGREGATES, Semantics, get_aggregate
+from repro.core.cost import baseline_cost, window_cost
 from repro.core.factor import (
     algorithm2,
     algorithm3,
@@ -18,7 +21,7 @@ from repro.core.factor import (
 from repro.core.mincost import find_min_cost_wcg
 from repro.core.wcg import UNIT_WINDOW, augment_wcg, build_wcg
 from repro.core.windows import Window, hyperperiod
-from repro.workloads.generators import chain_gen, random_gen, star_gen
+from repro.workloads.generators import chain_gen, random_gen, random_graph_gen, star_gen
 
 MIN = get_aggregate("min")
 SUM = get_aggregate("sum")
@@ -239,3 +242,39 @@ class TestAlgorithm2AndOptimize:
         # not beat 150 at η=1.
         ws = [Window(x, x) for x in (10, 20, 30, 40)]
         assert optimize(ws, SUM, eta=1).total == 150
+
+
+def _graph_gen(n, s_max, k_max, seed):
+    return random_graph_gen(levels=3, base=2, delta=2, s_max=s_max, k_max=k_max, seed=seed)
+
+
+class TestOptimizerTotal:
+    def test_tumbling_factor_divides_child_slides(self):
+        # W(30,15) is partitioned by a tumbling window only if its range
+        # divides 15 as well as 30 (Theorem 4): W(15,15) may not feed it.
+        m = optimize([Window(5, 5), Window(15, 5), Window(30, 15)], SUM, eta=1)
+        assert set(m.exposed()) == {Window(5, 5), Window(15, 5), Window(30, 15)}
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        gen=st.sampled_from([random_gen, chain_gen, star_gen, _graph_gen]),
+        agg=st.sampled_from(sorted(AGGREGATES)),
+        seed=st.integers(0, 10_000),
+        n=st.integers(2, 6),
+        eta=st.sampled_from([1, 10, 100]),
+    )
+    def test_optimize_keeps_the_papers_invariants(self, gen, agg, seed, n, eta):
+        ws = gen(n=n, s_max=16, k_max=8, seed=seed)
+        assert all(w.r % w.s == 0 for w in ws)
+        spec = get_aggregate(agg)
+        m = optimize(ws, spec, eta=eta)
+        # A forest over the query and factor windows, every c_i as the
+        # cost model gives it for the chosen parent.
+        assert sorted(m.topological()) == sorted(m.windows)
+        for w, p in m.parent.items():
+            assert p is None or (p in m.parent and p != w)
+            assert m.cost[w] == window_cost(w, p, m.R, eta)
+        assert m.total <= find_min_cost_wcg(ws, spec, eta).total <= baseline_cost(ws, eta)
+        # Factor windows are never exposed; every query window is.
+        assert sorted(m.exposed()) == sorted(ws)
+        assert not m.factors & set(ws)
