@@ -20,7 +20,8 @@ This module implements:
 * ``theorem9_prefers`` — the ratio comparator of Theorem 9.
 * ``algorithm2`` / ``optimize`` — expand the augmented WCG with the best
   factor window per vertex, rerun Algorithm 1 (unused factors pruned),
-  and return the better of the factor-free and factor-enabled plans
+  drop every factor window that does not pay for itself, and return the
+  better of the factor-free and factor-enabled plans
   (§4.3: Algorithm 2 is a Steiner-tree heuristic, not guaranteed
   optimal, so the paper keeps whichever of Alg 1/Alg 2 wins).
 """
@@ -246,7 +247,13 @@ def algorithm2(
 
     Candidates are chosen against the *original* augmented graph (one
     pattern per vertex, as the paper's `foreach` does), then inserted in
-    one batch so the result is independent of iteration order.
+    one batch so the result is independent of iteration order. Each was
+    chosen for its Figure-9 pattern, but Algorithm 1 may then leave it
+    fewer children than it was chosen for: ``S`` with one child costs
+    ``η·R``, as much as that child reading the raw stream, and only adds
+    a level. So a benefit pass closes the search: it removes the factor
+    window (``S`` included) whose removal lowers the total most when
+    Algorithm 1 reruns without it, until no removal lowers it.
     """
     R = hyperperiod(windows) if R is None else R
     g = augment_wcg(build_wcg(windows, agg.semantics))
@@ -264,7 +271,25 @@ def algorithm2(
             chosen.append(wf)
     for wf in chosen:
         g.add_window(wf, factor=True)
-    return minimize_over_graph(g, eta, R)
+    m = minimize_over_graph(g, eta, R)
+    while m.factors:
+        trials = [_without(g, f) for f in sorted(m.factors)]
+        g_less, m_less = min(
+            ((t, minimize_over_graph(t, eta, R)) for t in trials), key=lambda gm: gm[1].total
+        )
+        if m_less.total >= m.total:
+            break
+        g, m = g_less, m_less
+    return m
+
+
+def _without(g: WCG, f: Window) -> WCG:
+    """A copy of ``g`` without the vertex ``f`` and its edges."""
+    keep = [w for w in g.windows if w != f]
+    return WCG(
+        keep, g.semantics, edges={w: g.edges[w] - {f} for w in keep},
+        parents={w: g.parents[w] - {f} for w in keep}, factors=g.factors - {f},
+    )
 
 
 def optimize(

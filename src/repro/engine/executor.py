@@ -3,9 +3,10 @@
 ``execute_wcg`` is the engine's one interpreter of a forest: BL
 (``execute_baseline``) is the forest with no edges, and shared paired
 slicing (:mod:`repro.engine.sliced_exec`) the forest rooted at its slice
-set. :func:`run_chain` shuffles the events by key once, then runs one
-level of the assignment operator (:mod:`repro.engine.window_agg`) per
-depth of the forest, each over the rows of every window at that depth.
+set. :func:`run_chain` compiles the forest into one SQL statement: it
+shuffles the events by key once, then runs one level of the assignment
+operator (:mod:`repro.engine.window_agg`) per depth of the forest, each
+a subquery over the rows of every window at that depth.
 Level ``L`` routes each row of level ``L − 1`` to its window's children
 (``CASE pmod(_c, K) WHEN i THEN …``) and carries the rows of exposed
 windows forward under their own code: a group of one merges to itself,
@@ -25,7 +26,7 @@ from pyspark.sql import DataFrame
 from repro.core.aggregates import AggSpec
 from repro.core.mincost import MinCostWCG
 from repro.core.windows import Window
-from repro.engine.window_agg import aggregate, codes, concat, decode, roots, window_id
+from repro.engine.window_agg import aggregate, codes, concat, decode, query, roots, window_id
 
 
 @dataclass
@@ -61,7 +62,7 @@ def run_chain(
         codes(n, i, k, "tick", "tick + 1") if isinstance(n, Window) else n.codes(i, k, "tick")
         for i, n in enumerate(nodes) if parent[n] is None
     )
-    levels = [roots(events.repartition("key"), concat(at_roots), agg)]
+    assigns = [concat(at_roots)]  # each level's SQL array of codes per row
     for d in range(1, max(depth.values()) + 1):
         routes = " ".join(
             f"WHEN {i} THEN " + concat(["array(_c)"] * (p in exposed) + [
@@ -69,18 +70,26 @@ def run_chain(
             ])
             for i, p in enumerate(nodes) if depth[p] == d - 1 and p in parent.values()
         )
-        levels.append(aggregate(
-            levels[-1], f"CASE pmod(_c, {k}) {routes} ELSE array(_c) END", agg.merge, agg.state_cols
-        ))
+        assigns.append(f"CASE pmod(_c, {k}) {routes} ELSE array(_c) END")
+
+    def level(t: str, d: int) -> str:
+        """SQL of level ``d`` of the chain over the events table ``t``."""
+        sql = roots(t, assigns[0], agg, shuffle=True)
+        for assign in assigns[1 : d + 1]:
+            sql = aggregate(f"({sql})", assign, agg.merge, agg.state_cols)
+        return sql
+
     at = f"int(pmod(_c, {k})) + 1"
     ids = ", ".join(f"'{window_id(n)}'" if n in exposed else "''" for n in nodes)
     ranges = ", ".join(str(n.r) if n in exposed else "0" for n in nodes)
-    output = levels[-1].selectExpr(
-        f"element_at(array({ids}), {at}) AS window_id", f"{u} AS win_start",
-        f"{u} + element_at(array({ranges}), {at}) AS win_end", "key", f"{agg.final} AS value",
-    )
+    output = query(events, lambda t: (
+        f"SELECT element_at(array({ids}), {at}) AS window_id, {u} AS win_start, "
+        f"{u} + element_at(array({ranges}), {at}) AS win_end, key, {agg.final} AS value "
+        f"FROM ({level(t, len(assigns) - 1)})"
+    ))
     return ExecutionResult(output, lambda: {
-        n: decode(levels[depth[n]], i, k, end[n], agg.state_cols) for i, n in enumerate(nodes)
+        n: query(events, lambda t: decode(f"({level(t, depth[n])})", i, k, end[n], agg.state_cols))
+        for i, n in enumerate(nodes)
     })
 
 

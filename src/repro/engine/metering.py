@@ -24,8 +24,7 @@ def raw_assignment_count(events: DataFrame, w: Window, horizon: int) -> int:
     """(event, instance) pairs a direct window aggregate processes,
     counted with the assignment operator the root window runs: each
     event is the unit interval ``[tick, tick+1)``."""
-    intervals = events.where("tick >= 0").selectExpr("tick AS win_start", "tick + 1 AS win_end")
-    return assignment_count(intervals, w, horizon)
+    return assignment_count(events, w, horizon, "tick", "tick + 1", "tick >= 0")
 
 
 def plan_assignment_counts(

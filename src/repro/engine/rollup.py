@@ -17,20 +17,29 @@ from pyspark.sql import DataFrame
 
 from repro.core.aggregates import AggSpec
 from repro.core.windows import Window
-from repro.engine.window_agg import aggregate, codes, decode
+from repro.engine.window_agg import aggregate, codes, decode, query
 
 
 def rollup(upstream: DataFrame, child: Window, agg: AggSpec) -> DataFrame:
     """Partial states of ``child`` computed from ``upstream`` partials."""
     assign = codes(child, 0, 1, "win_start", "win_end")
-    level = aggregate(upstream, assign, agg.merge, agg.state_cols)
-    return decode(level, 0, 1, f"_c + {child.r}", agg.state_cols)
+    return query(upstream, lambda t: decode(
+        f"({aggregate(t, assign, agg.merge, agg.state_cols)})", 0, 1, f"_c + {child.r}",
+        agg.state_cols,
+    ))
 
 
-def assignment_count(upstream: DataFrame, child: Window, horizon: int) -> int:
-    """Metering: number of (upstream instance, downstream instance, key)
-    pairs the rollup processes, restricted to downstream instances fully
-    inside ``[0, horizon]`` — the executed analogue of the cost model's
+def assignment_count(
+    upstream: DataFrame, child: Window, horizon: int, u: str = "win_start", v: str = "win_end",
+    where: str = "true",
+) -> int:
+    """Metering: number of (upstream row, downstream instance) pairs the
+    rollup processes for the rows that satisfy ``where``, each the
+    interval ``[u, v)``, restricted to downstream instances fully inside
+    ``[0, horizon]`` — the executed analogue of the cost model's
     ``n_1 · M(W_1, W_2)`` (per key)."""
-    assigned = upstream.selectExpr(f"explode({codes(child, 0, 1, 'win_start', 'win_end')}) AS _c")
-    return assigned.where(f"_c + {child.r} <= {horizon}").count()
+    assign = codes(child, 0, 1, u, v)
+    return query(upstream, lambda t: (
+        f"SELECT count(*) FROM (SELECT explode({assign}) AS _c FROM {t} WHERE {where}) "
+        f"WHERE _c + {child.r} <= {horizon}"
+    )).collect()[0][0]

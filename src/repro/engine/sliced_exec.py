@@ -25,7 +25,7 @@ from pyspark.sql import functions as F
 from repro.core.aggregates import AggSpec
 from repro.core.windows import Window
 from repro.engine.executor import run_chain
-from repro.engine.window_agg import decode, roots
+from repro.engine.window_agg import decode, query, roots
 from repro.slicing.compose import composed_edges, slide_period
 
 
@@ -78,10 +78,11 @@ class Slices:
 def assign_slices(events: DataFrame, edges: list[int]) -> DataFrame:
     """Events at ``tick ≥ 0`` with their slice's ``[slice_start, slice_end)``."""
     s = Slices(edges)
-    assigned = events.where("tick >= 0").selectExpr(
-        "*", f"explode({s.codes(0, 1, 'tick')}) AS slice_start"
-    )
-    return assigned.selectExpr("*", f"{s.end('slice_start')} AS slice_end")
+    assign, end = s.codes(0, 1, "tick"), s.end("slice_start")
+    return query(events, lambda t: (
+        f"SELECT *, {end} AS slice_end FROM "
+        f"(SELECT *, explode({assign}) AS slice_start FROM {t} WHERE tick >= 0)"
+    ))
 
 
 def _int_array(values: Iterable[int]) -> str:
@@ -94,8 +95,10 @@ def slice_partials(events: DataFrame, edges: list[int], agg: AggSpec) -> DataFra
     """Partial aggregate per (slice, key) — the "Partial" cost column —
     over the events shuffled by key: the root level of a sliced plan."""
     s = Slices(edges)
-    level = roots(events.repartition("key"), s.codes(0, 1, "tick"), agg)
-    return decode(level, 0, 1, s.end("_c"), agg.state_cols)
+    assign = s.codes(0, 1, "tick")
+    return query(events, lambda t: decode(
+        f"({roots(t, assign, agg, shuffle=True)})", 0, 1, s.end("_c"), agg.state_cols
+    ))
 
 
 def _edges(windows: list[Window], technique: str, horizon: int) -> list[int]:

@@ -18,13 +18,17 @@ A tumbling window's one candidate is ``a = ⌊u/s⌋·s``, kept if
 ``s·K``. Every expression is code-generated (``sequence``, ``concat``,
 ``explode``, ``if``): Spark interprets a higher-order lambda
 (``transform(…, x -> …)``) row by row.
+
+A plan is SQL text over its input, compiled to one statement that Spark
+analyses once (:func:`query`): each DataFrame call would be one more
+Catalyst analysis of a plan that holds the caller's events.
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+import uuid
+from typing import Callable, Iterable, Sequence
 
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.core.aggregates import AggSpec
 from repro.core.windows import Window
@@ -33,6 +37,25 @@ from repro.core.windows import Window
 def window_id(w: Window) -> str:
     """Stable identifier of a window in the plan output, ``"r/s"``."""
     return f"{w.r}/{w.s}"
+
+
+def query(rows: DataFrame, sql: Callable[[str], str]) -> DataFrame:
+    """The statement ``sql(t)``, which reads ``rows`` as the table ``t``,
+    in one Catalyst analysis.
+
+    ``t`` is a temp view of a unique name, which the session catalog
+    drops once the statement is analysed: the analysed plan holds
+    ``rows``' own plan, so the view is no longer needed. Dropping it with
+    ``spark.catalog.dropTempView``, or binding ``rows`` with
+    ``spark.sql(…, df=…)``, would uncache ``rows``, which the caller may
+    have persisted. Callers nest a plan's levels as subqueries: with a
+    CTE per level Catalyst took up to 1.8× as long to analyse one."""
+    spark, view = rows.sparkSession, f"_rows_{uuid.uuid4().hex}"
+    rows.createTempView(view)
+    try:
+        return spark.sql(sql(view))
+    finally:
+        spark._jsparkSession.sessionState().catalog().dropTempView(view)
 
 
 def codes(w: Window, i: int, k: int, u: str, v: str) -> str:
@@ -53,33 +76,39 @@ def concat(arrays: Iterable[str]) -> str:
     return f"concat({', '.join(arrays)})"
 
 
-def aggregate(rows: DataFrame, assign: str, exprs: Sequence[str], cols: Sequence[str]) -> DataFrame:
-    """The operator: each row of ``rows`` goes to every code in the SQL
-    array ``assign``, and ``exprs`` over ``cols`` merge each (``_c``, key).
-    It is two DataFrame calls, as each call costs a Catalyst analysis."""
-    assigned = rows.selectExpr(f"explode({assign}) AS _c", "key", *cols)
-    return assigned.groupBy("_c", "key").agg(*map(F.expr, exprs))
+def aggregate(source: str, assign: str, exprs: Sequence[str], cols: Sequence[str]) -> str:
+    """SQL of the operator: each row of the ``FROM`` clause ``source``
+    goes to every code in the SQL array ``assign``, and ``exprs`` over
+    ``cols`` merge each (``_c``, key)."""
+    assigned = f"SELECT explode({assign}) AS _c, key, {', '.join(cols)} FROM {source}"
+    return f"SELECT _c, key, {', '.join(exprs)} FROM ({assigned}) GROUP BY _c, key"
 
 
-def roots(events: DataFrame, assign: str, agg: AggSpec) -> DataFrame:
-    """:func:`aggregate` of the events at ``tick ≥ 0`` (events before 0
-    belong to no instance) into partial states."""
-    return aggregate(events.where("tick >= 0"), assign, agg.partial, ("v",))
+def roots(events: str, assign: str, agg: AggSpec, *, shuffle: bool = False) -> str:
+    """SQL of :func:`aggregate` of the table ``events`` at ``tick ≥ 0``
+    (events before 0 belong to no instance) into partial states;
+    ``shuffle`` repartitions the events by key first."""
+    if shuffle:
+        events = f"(SELECT /*+ REPARTITION(key) */ * FROM {events})"
+    return aggregate(f"{events} WHERE tick >= 0", assign, agg.partial, ("v",))
 
 
-def decode(level: DataFrame, i: int, k: int, end: str, cols: Sequence[str]) -> DataFrame:
-    """Node ``i``'s rows of ``level`` as ``(win_start, win_end, key, *cols)``;
-    ``end`` is SQL for the end of the instance starting at ``_c div k``."""
-    return level.where(f"pmod(_c, {k}) = {i}").selectExpr(
-        f"_c div {k} AS win_start", f"{end} AS win_end", "key", *cols
+def decode(level: str, i: int, k: int, end: str, cols: Sequence[str]) -> str:
+    """SQL of node ``i``'s rows of ``level`` as ``(win_start, win_end, key,
+    *cols)``; ``end`` is SQL for the end of the instance starting at ``_c div k``."""
+    return (
+        f"SELECT _c div {k} AS win_start, {end} AS win_end, key, {', '.join(cols)} "
+        f"FROM {level} WHERE pmod(_c, {k}) = {i}"
     )
 
 
 def partial_window_agg(events: DataFrame, w: Window, agg: AggSpec) -> DataFrame:
     """Partial states ``(win_start, win_end, key, *state)`` of ``w`` from
     raw events: the root level of a one-window plan."""
-    level = roots(events, codes(w, 0, 1, "tick", "tick + 1"), agg)
-    return decode(level, 0, 1, f"_c + {w.r}", agg.state_cols)
+    assign = codes(w, 0, 1, "tick", "tick + 1")
+    return query(events, lambda t: decode(
+        f"({roots(t, assign, agg)})", 0, 1, f"_c + {w.r}", agg.state_cols
+    ))
 
 
 def finalize(partials: DataFrame, w: Window, agg: AggSpec) -> DataFrame:

@@ -8,6 +8,7 @@ from py4j.protocol import Py4JJavaError
 from repro.core.aggregates import get_aggregate
 from repro.core.factor import algorithm2, optimize
 from repro.core.mincost import find_min_cost_wcg
+from repro.core.wcg import UNIT_WINDOW
 from repro.core.windows import Window
 from repro.engine.executor import execute_baseline, execute_wcg
 from repro.engine.oracle_sql import multi_window_sql
@@ -289,6 +290,16 @@ class TestPlanShape:
         df, levels = _plan(events, "wcg_fw", EX7, agg)
         _assert_one_shuffle_no_cache(spark, events, df, levels, "ex7-plan-shape")
 
+    def test_example7_at_eta_25_runs_no_unit_root_level(self, spark, events):
+        # The benchmark's tumbling_sum plan: W(10,10) from raw, then
+        # W(20,20) and W(30,30), then W(40,40). S would only add a level.
+        agg = get_aggregate("sum")
+        m = optimize(EX7, agg, eta=25)
+        assert UNIT_WINDOW not in m.windows
+        assert 1 + max(_depth(m, w) for w in m.windows) == 3
+        df = execute_wcg(events, m, agg).output
+        _assert_one_shuffle_no_cache(spark, events, df, 3, "ex7-eta25-plan-shape")
+
     def test_shared_paired_slicing_shuffles_events_once(self, spark, events):
         df, levels = _plan(events, "sp", EX7, get_aggregate("sum"))
         _assert_one_shuffle_no_cache(spark, events, df, levels, "sp-plan-shape")
@@ -317,6 +328,19 @@ class TestPlanShape:
         generates = [line for line in _final_plan(df) if "Generate " in line]
         assert generates
         assert not [g for g in generates if "lambdafunction" in g.lower()]
+
+    @pytest.mark.parametrize("plan", ["bl", "wcg", "wcg_fw", "sp"])
+    def test_plan_is_one_statement_and_leaves_no_view(self, spark, events, monkeypatch, plan):
+        # Each plan is analysed once, and the temp view that binds the
+        # events to the statement is gone once it is.
+        views = spark.catalog.listTables()
+        calls = []
+        sql = type(spark).sql
+        monkeypatch.setattr(type(spark), "sql", lambda *a, **kw: calls.append(a) or sql(*a, **kw))
+        df, _ = _plan(events, plan, HOP, get_aggregate("min"))
+        assert len(calls) == 1
+        df.collect()
+        assert spark.catalog.listTables() == views
 
     @pytest.mark.parametrize("horizon", [60, 600])
     def test_callers_edges_release_sp_cache(self, spark, horizon):

@@ -18,7 +18,7 @@ from repro.core.factor import (
     theorem9_prefers,
     transitive_reduction_children,
 )
-from repro.core.mincost import find_min_cost_wcg
+from repro.core.mincost import find_min_cost_wcg, minimize_over_graph
 from repro.core.wcg import UNIT_WINDOW, augment_wcg, build_wcg
 from repro.core.windows import Window, hyperperiod
 from repro.workloads.generators import chain_gen, random_gen, random_graph_gen, star_gen
@@ -204,10 +204,13 @@ class TestAlgorithm2AndOptimize:
         assert UNIT_WINDOW not in m.windows
 
     def test_unit_root_used_at_high_eta(self):
-        # At η=100 reading per-tick sub-aggregates from S beats raw for
-        # the factor window (cost n_f·r_f vs n_f·η·r_f).
+        # At η=100 the factor window W(10,10) still beats the no-factor
+        # plan. S would be its one child's parent, at cost η·R, the same
+        # as W(10,10) reading the raw stream: S adds a level and saves
+        # nothing, so the benefit pass drops it.
         m = algorithm2(EX7, SUM, eta=100)
         assert m.total < find_min_cost_wcg(EX7, SUM, eta=100).total
+        assert UNIT_WINDOW not in m.windows
 
     def test_optimize_returns_best_of_both(self):
         for eta in (1, 10, 100):
@@ -278,3 +281,42 @@ class TestOptimizerTotal:
         # Factor windows are never exposed; every query window is.
         assert sorted(m.exposed()) == sorted(ws)
         assert not m.factors & set(ws)
+        # Every factor window pays for itself: Algorithm 1 over the plan's
+        # windows without it finds no cheaper plan.
+        for f in m.factors:
+            assert _total_without(m, f, spec) >= m.total, f
+
+    def test_example7_drops_the_unit_root_at_eta_25(self):
+        # S would feed only W(10,10): a level that saves nothing.
+        m = optimize(EX7, SUM, eta=25)
+        assert m.parent == {
+            Window(10, 10): None,
+            Window(20, 20): Window(10, 10),
+            Window(30, 30): Window(10, 10),
+            Window(40, 40): Window(20, 20),
+        }
+        assert m.total == 3030
+
+    def test_hop_chain_drops_a_useless_factor(self):
+        # One factor root, then the chain: five levels, where S above
+        # W(10,10) made six.
+        hop = [Window(60, 10), Window(120, 10), Window(240, 10), Window(480, 10)]
+        m = optimize(hop, MIN, eta=10)
+        assert m.parent == {
+            Window(10, 10): None,
+            **{c: p for p, c in zip([Window(10, 10), *hop], hop)},
+        }
+        assert m.total == 5667
+
+    def test_unit_root_kept_with_two_children(self):
+        m = optimize([Window(4, 4), Window(6, 6)], SUM, eta=10)
+        assert m.children(UNIT_WINDOW) == [Window(4, 4), Window(6, 6)]
+        assert m.parent[UNIT_WINDOW] is None
+        assert m.total == 144
+
+
+def _total_without(m, f, agg) -> int:
+    """Algorithm 1's total over ``m``'s windows without the factor ``f``."""
+    g = build_wcg([w for w in m.windows if w != f], agg.semantics)
+    g.factors = m.factors - {f}
+    return minimize_over_graph(g, m.eta, m.R).total
