@@ -10,7 +10,6 @@ from pyspark.sql import SparkSession
 from repro.core.aggregates import get_aggregate
 from repro.core.cost import baseline_cost
 from repro.core.mincost import find_min_cost_wcg
-from repro.core.plan import rewrite_plan
 from repro.core.windows import Window
 from repro.engine.executor import execute_baseline, execute_wcg
 from repro.engine.streams import event_stream
@@ -23,9 +22,8 @@ def run(spark: SparkSession) -> None:
     m = find_min_cost_wcg(WINDOWS, agg, eta=1)
     print(f"baseline cost C  = {baseline_cost(WINDOWS, eta=1)} (paper: 480)")
     print(f"min-cost WCG C'  = {m.total} (paper: 150)")
-    print(f"parents          = { {str(w): str(p) for w, p in m.parent.items()} }")
     print("\nrewritten plan (§3.3):")
-    print(rewrite_plan(m).describe())
+    print(m.describe())
 
     ev = event_stream(spark, horizon=120, eta=2, n_keys=3, seed=7)
     base = execute_baseline(ev, WINDOWS, agg)

@@ -9,7 +9,6 @@ from pyspark.sql import SparkSession
 from repro.core.aggregates import get_aggregate
 from repro.core.factor import algorithm2, optimize
 from repro.core.mincost import find_min_cost_wcg
-from repro.core.plan import rewrite_plan
 from repro.core.windows import Window
 from repro.engine.executor import execute_baseline, execute_wcg
 from repro.engine.streams import event_stream
@@ -26,7 +25,7 @@ def run(spark: SparkSession) -> None:
     print(f"Algorithm 2 C''   = {with_factor.total} (paper: 150)")
     print(f"factor windows    = {sorted(map(str, with_factor.factors))} (paper: ['W(10,10)'])")
     print("\nrewritten plan with hidden factor window:")
-    print(rewrite_plan(with_factor).describe())
+    print(with_factor.describe())
 
     ev = event_stream(spark, horizon=120, eta=2, n_keys=3, seed=7)
     base = execute_baseline(ev, WINDOWS, agg)

@@ -25,8 +25,7 @@ HORIZON = 240
 def run(spark: SparkSession) -> None:
     agg = get_aggregate("sum")
     m = algorithm2(WINDOWS, agg, eta=1)
-    print(f"plan: parents={ {str(w): str(p) for w, p in m.parent.items()} } "
-          f"factors={sorted(map(str, m.factors))}")
+    print(m.describe())
     path = tempfile.mkdtemp(prefix="wcg_stream_") + "/events"
     ev = event_stream(spark, horizon=HORIZON, eta=2, n_keys=2, seed=3)
     sentinel = spark.createDataFrame(

@@ -297,13 +297,9 @@ def optimize(
     agg: AggSpec,
     eta: int = 1,
     R: int | None = None,
-    allow_factor: bool = True,
 ) -> MinCostWCG:
-    """§4.3: run Algorithm 1, and when factor windows are allowed also
-    Algorithm 2, returning whichever plan is cheaper (Algorithm 2 is a
-    heuristic and can lose to Algorithm 1)."""
+    """§4.3: run Algorithms 1 and 2 and return whichever plan is cheaper
+    (Algorithm 2 is a heuristic and can lose to Algorithm 1)."""
     base = find_min_cost_wcg(windows, agg, eta, R)
-    if not allow_factor:
-        return base
     with_f = algorithm2(windows, agg, eta, R)
     return with_f if with_f.total < base.total else base

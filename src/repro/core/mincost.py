@@ -30,6 +30,8 @@ class MinCostWCG:
     else the window whose sub-aggregates ``w`` rolls up. ``cost[w]`` is
     ``c_i`` over hyperperiod ``R`` at rate ``eta``; ``total`` their sum.
     ``factors`` are auxiliary vertices whose output is not exposed.
+    The forest is also the §3.3 rewritten plan: the batch and streaming
+    engines run it as it stands.
     """
 
     windows: list[Window]
@@ -69,6 +71,14 @@ class MinCostWCG:
         for w in sorted(self.windows):
             visit(w)
         return out
+
+    def describe(self) -> str:
+        """The §3.3 rewritten plan as text (the analogue of Figure 2): one
+        line per window, parents first, naming what it reads."""
+        return "\n".join(
+            f"{w} <- {self.parent[w] or 'events'}{' [factor]' if w in self.factors else ''}"
+            for w in self.topological()
+        )
 
 
 def minimize_over_graph(g: WCG, eta: int, R: int | None = None) -> MinCostWCG:

@@ -55,7 +55,7 @@ def evaluate_techniques(
     S = slide_period(windows)
     L = R // math.gcd(R, S) * S
     wcg = find_min_cost_wcg(windows, agg, eta)
-    wcg_fw = optimize(windows, agg, eta, allow_factor=True)
+    wcg_fw = optimize(windows, agg, eta)
     costs = {
         "BL": baseline_cost(windows, eta, R) * (L // R),
         "UP": unshared_paired(windows, eta).total * (L // S),

@@ -35,7 +35,9 @@ def slices_per_window(w: Window) -> int:
 
     ``2·(r/s)`` slices (a z1 and a z2 per overlapped period) in the
     general case, degenerating to ``r/s`` single slices when ``r`` is a
-    multiple of ``s``. The executable slicing engine uses this count.
+    multiple of ``s``. Only tests read it; the executable slicing engine
+    (:mod:`repro.engine.sliced_exec`) rolls each window up from the
+    composed slices it contains instead.
     """
     if w.r % w.s == 0:
         return w.r // w.s
@@ -49,6 +51,6 @@ def table1_slices_per_window(w: Window) -> int:
     (every window Algorithm 5 emits), where the true count is ``r/s`` —
     the analytic UP/SP costs therefore over-count degenerate paired
     windows by 2×. We keep the literal formula for figure reproduction
-    and the exact count (:func:`slices_per_window`) for execution.
+    and the exact count (:func:`slices_per_window`) beside it.
     """
     return math.ceil(2 * w.r / w.s)

@@ -1,12 +1,17 @@
-"""Source checks on the Spark engine that need no Spark: no Python UDF
-sits on a hot path, so every operator stays inside Catalyst and the JVM,
-and no call uncaches the caller's input."""
+"""Source checks that need no Spark: no Python UDF sits on a hot path of
+the engine, so every operator stays inside Catalyst and the JVM; no
+engine call uncaches the caller's input; and every name the benchmark
+and job scripts import from the package still exists."""
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-ENGINE = Path(__file__).resolve().parent.parent / "src" / "repro" / "engine"
+ROOT = Path(__file__).resolve().parent.parent
+ENGINE = ROOT / "src" / "repro" / "engine"
+SCRIPTS = sorted(p for d in ("perfbench", "benchmarks", "jobs") for p in (ROOT / d).glob("*.py"))
 PYTHON_UDFS = {"mapInPandas", "applyInPandas", "pandas_udf", "udf"}
 
 
@@ -76,4 +81,42 @@ def test_check_finds_an_uncaching_call(tmp_path):
     )
     assert _uncaching_calls(src) == [
         "probe.py:2: dropTempView", "probe.py:3: sql", "probe.py:4: sql"
+    ]
+
+
+def _unresolved_imports(path: Path) -> list[str]:
+    """Every ``from repro… import name`` in ``path`` whose module is gone,
+    or whose module neither binds ``name`` nor has it as a submodule."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not (isinstance(node, ast.ImportFrom) and node.level == 0
+                and (node.module or "").split(".")[0] == "repro"):
+            continue
+        try:
+            mod = importlib.import_module(node.module)
+        except ImportError:
+            found.append(f"{path.name}:{node.lineno}: {node.module}")
+            continue
+        for a in node.names:
+            if not (hasattr(mod, a.name) or hasattr(mod, "__path__")
+                    and importlib.util.find_spec(f"{node.module}.{a.name}")):
+                found.append(f"{path.name}:{node.lineno}: {node.module}.{a.name}")
+    return found
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_script_imports_resolve(path):
+    assert _unresolved_imports(path) == []
+
+
+def test_check_finds_an_unresolved_import(tmp_path):
+    src = tmp_path / "probe.py"
+    src.write_text(
+        "from repro import synth_data, gone\n"
+        "from repro.core.windows import Window, gone\n"
+        "def f():\n    from repro.core.gone import x\n"
+    )
+    assert _unresolved_imports(src) == [
+        "probe.py:1: repro.gone", "probe.py:2: repro.core.windows.gone",
+        "probe.py:4: repro.core.gone",
     ]

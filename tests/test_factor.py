@@ -219,10 +219,6 @@ class TestAlgorithm2AndOptimize:
             m2 = algorithm2(EX7, SUM, eta=eta)
             assert m_opt.total == min(m1.total, m2.total)
 
-    def test_optimize_no_factor_flag(self):
-        m = optimize(EX7, SUM, eta=1, allow_factor=False)
-        assert m.total == 246
-
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("gen", [random_gen, chain_gen, star_gen])
     def test_factor_never_hurts_after_best_of(self, seed, gen):

@@ -1,10 +1,8 @@
-"""§3.3 query rewriting: plan structure for the paper's examples."""
-import pytest
-
+"""§3.3 query rewriting: the min-cost forest is the rewritten plan, for
+the paper's examples."""
 from repro.core.aggregates import get_aggregate
 from repro.core.factor import algorithm2
 from repro.core.mincost import find_min_cost_wcg
-from repro.core.plan import OpKind, baseline_plan, rewrite_plan
 from repro.core.windows import Window
 
 MIN = get_aggregate("min")
@@ -13,102 +11,35 @@ EX6 = [Window(x, x) for x in (10, 20, 30, 40)]
 EX7 = [Window(x, x) for x in (20, 30, 40)]
 
 
-def op(plan, oid):
-    return plan.ops[oid]
-
-
-class TestBaselinePlan:
-    def test_figure1b_shape(self):
-        p = baseline_plan(EX6)
-        assert {o.kind for o in p.ops.values()} == set(OpKind)
-        mc = op(p, "multicast_source")
-        assert len(p.outputs(mc)) == 4
-        for w in EX6:
-            wa = op(p, f"win_{w.r}_{w.s}")
-            assert p.inputs(wa) == [mc]
-            assert p.outputs(wa) == [op(p, "union")]
-
-    def test_single_window_has_no_multicast(self):
-        p = baseline_plan([Window(10, 10)])
-        assert "multicast_source" not in p.ops
-        assert p.inputs(op(p, "win_10_10")) == [op(p, "source")]
-
-    def test_all_exposed(self):
-        p = baseline_plan(EX6)
-        assert all(o.exposed for o in p.window_ops())
-
-
 class TestRewritePlanExample6:
-    def setup_method(self):
-        self.m = find_min_cost_wcg(EX6, MIN, eta=1)
-        self.p = rewrite_plan(self.m)
-
-    def test_single_root_no_source_multicast(self):
-        # Figure 2(a) right: only W1 reads the source directly.
-        assert "multicast_source" not in self.p.ops
-        assert self.p.inputs(op(self.p, "win_10_10")) == [op(self.p, "source")]
-
-    def test_intermediate_multicasts(self):
-        # W1 and W2 have children → each gets a MultiCast that also
-        # feeds the Union (their results are exposed).
-        for wid in ("win_10_10", "win_20_20"):
-            mc = op(self.p, f"multicast_{wid}")
-            assert op(self.p, "union") in self.p.outputs(mc)
-
-    def test_w2_w3_read_from_w1(self):
-        mc1 = op(self.p, "multicast_win_10_10")
-        assert op(self.p, "win_20_20") in self.p.outputs(mc1)
-        assert op(self.p, "win_30_30") in self.p.outputs(mc1)
-
-    def test_w4_reads_from_w2(self):
-        mc2 = op(self.p, "multicast_win_20_20")
-        assert op(self.p, "win_40_40") in self.p.outputs(mc2)
-
-    def test_leaves_feed_union_directly(self):
-        for wid in ("win_30_30", "win_40_40"):
-            assert op(self.p, "union") in self.p.outputs(op(self.p, wid))
-
     def test_every_window_has_one_input(self):
-        for wa in self.p.window_ops():
-            assert len(self.p.inputs(wa)) == 1
+        # Figure 2(a) right: W1 reads the events, every other window one
+        # parent; parents are listed before their children.
+        assert find_min_cost_wcg(EX6, MIN, eta=1).describe().splitlines() == [
+            "W(10,10) <- events",
+            "W(20,20) <- W(10,10)",
+            "W(30,30) <- W(10,10)",
+            "W(40,40) <- W(20,20)",
+        ]
 
 
 class TestRewritePlanFactorWindows:
     def test_factor_window_hidden_from_union(self):
         m = algorithm2(EX7, SUM, eta=1)
-        p = rewrite_plan(m)
-        w10 = op(p, "win_10_10")
-        assert not w10.exposed
-        mc = op(p, "multicast_win_10_10")
-        union = op(p, "union")
-        assert union not in p.outputs(mc)
-        assert union not in p.outputs(w10)
+        assert Window(10, 10) in m.factors
+        assert Window(10, 10) not in m.exposed()
         # but the children do read from it:
-        assert op(p, "win_20_20") in p.outputs(mc)
-        assert op(p, "win_30_30") in p.outputs(mc)
+        assert m.children(Window(10, 10)) == [Window(20, 20), Window(30, 30)]
 
     def test_union_inputs_are_exactly_exposed_windows(self):
-        m = algorithm2(EX7, SUM, eta=1)
-        p = rewrite_plan(m)
-        union_feeders = set()
-        for o in p.inputs(op(p, "union")):
-            if o.kind is OpKind.WINDOW_AGG:
-                union_feeders.add(o.window)
-            else:  # a window's multicast
-                (wa,) = p.inputs(o)
-                union_feeders.add(wa.window)
-        assert union_feeders == set(EX7)
+        assert algorithm2(EX7, SUM, eta=1).exposed() == EX7
 
 
 class TestMultiRoot:
     def test_multicast_source_when_several_roots(self):
         ws = [Window(6, 6), Window(10, 10)]  # no coverage between them
-        m = find_min_cost_wcg(ws, MIN, eta=1)
-        p = rewrite_plan(m)
-        mc = op(p, "multicast_source")
-        assert len(p.outputs(mc)) == 2
+        assert find_min_cost_wcg(ws, MIN, eta=1).roots() == ws
 
     def test_describe_mentions_factor(self):
-        m = algorithm2(EX7, SUM, eta=1)
-        text = rewrite_plan(m).describe()
-        assert "win_10_10 [factor]" in text
+        text = algorithm2(EX7, SUM, eta=1).describe()
+        assert "W(10,10) <- events [factor]" in text.splitlines()

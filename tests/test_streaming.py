@@ -4,15 +4,11 @@ watermark cutoff) for the paper's examples."""
 import pytest
 
 from repro.core.aggregates import get_aggregate
-from repro.core.factor import algorithm2
+from repro.core.factor import algorithm2, optimize
 from repro.core.mincost import find_min_cost_wcg
 from repro.core.windows import Window
 from repro.engine.executor import execute_wcg
-from repro.engine.streaming import (
-    build_streaming_partials,
-    run_streaming_plan,
-    streaming_supported,
-)
+from repro.engine.streaming import run_streaming_plan
 from repro.engine.streams import event_stream
 from repro.engine.window_agg import window_id
 
@@ -21,6 +17,7 @@ EX7 = [Window(x, x) for x in (20, 30, 40)]
 HORIZON = 120
 SUM = get_aggregate("sum")
 MIN = get_aggregate("min")
+SCHEMA = "tick long, ts timestamp, key long, v double"
 
 
 @pytest.fixture(scope="module")
@@ -47,18 +44,43 @@ def batch_rows(spark, mincost, agg, w):
     return sorted(map(tuple, rows))
 
 
-class TestSupportMatrix:
-    def test_tumbling_forest_supported(self):
-        assert streaming_supported(find_min_cost_wcg(EX6, SUM, eta=1))
+def sink_rows(spark, table):
+    return sorted(map(tuple, spark.table(table).where(f"win_end <= {HORIZON}").collect()))
 
-    def test_hopping_parent_rejected(self, spark):
-        ws = [Window(8, 2), Window(10, 2)]
-        m = find_min_cost_wcg(ws, MIN, eta=100)
-        if streaming_supported(m):  # parent selection may vary with eta
-            pytest.skip("optimizer chose no hopping parent")
-        ev = event_stream(spark, horizon=20, eta=1, n_keys=1, seed=0)
-        with pytest.raises(ValueError, match="hopping parent"):
-            build_streaming_partials(ev, m, MIN)
+
+class TestSupportMatrix:
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            # W(10,2) rolls up the overlapping instances of W(8,2).
+            lambda: find_min_cost_wcg([Window(8, 2), Window(10, 2)], MIN, eta=100),
+            # Five levels, three of them from hopping parents, one of
+            # those a factor window: W(2,2) → W(6,2) → W(10,2) → W(12,4) → W(20,4).
+            lambda: optimize([Window(6, 2), Window(10, 2), Window(20, 4)], MIN, eta=100),
+        ],
+        ids=["pair", "chain"],
+    )
+    def test_hopping_parent_streams(self, spark, stream_dir, plan):
+        m = plan()
+        assert any(p is not None and not p.is_tumbling for p in m.parent.values())
+        sinks = run_streaming_plan(
+            spark, stream_dir, SCHEMA, m, MIN, sink_prefix=f"hop_{len(m.windows)}"
+        )
+        assert set(sinks) == set(m.exposed())
+        for w, table in sinks.items():
+            assert sink_rows(spark, table) == batch_rows(spark, m, MIN, w), f"window {w}"
+
+    def test_session_shuffle_partitions_restored(self, spark, stream_dir):
+        key = "spark.sql.shuffle.partitions"
+        saved = spark.conf.get(key)
+        # A value the streaming queries do not use, so restoring is visible.
+        spark.conf.set(key, str(spark.sparkContext.defaultParallelism + 1))
+        try:
+            m = find_min_cost_wcg([Window(10, 10)], SUM, eta=1)
+            run_streaming_plan(spark, stream_dir, SCHEMA, m, SUM, sink_prefix="conf")
+            assert spark.conf.get(key) == str(spark.sparkContext.defaultParallelism + 1)
+        finally:
+            spark.conf.set(key, saved)
 
 
 class TestStreamingMatchesBatch:
