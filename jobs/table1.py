@@ -32,14 +32,8 @@ def run(spark: SparkSession) -> None:
     base = sorted(map(tuple, execute_baseline(ev, GENERAL, agg).collect()))
     for technique in ("paned", "paired"):
         for shared in (True, False):
-            got = sorted(
-                map(
-                    tuple,
-                    sliced_window_agg(
-                        ev, GENERAL, agg, technique=technique, shared=shared, horizon=60
-                    ).collect(),
-                )
-            )
+            df = sliced_window_agg(ev, GENERAL, agg, technique=technique, shared=shared)
+            got = sorted(map(tuple, df.collect()))
             tag = ("shared" if shared else "unshared") + " " + technique
             print(f"executable {tag:<18} == baseline rows: {got == base}")
 

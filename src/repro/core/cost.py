@@ -21,16 +21,14 @@ from repro.core.windows import Window, covering_multiplier, hyperperiod
 
 
 def recurrence_count(w: Window, R: int) -> int:
-    """``n_i`` — window instances fully inside a period of length ``R``.
+    """``n_i`` — window instances fully inside ``[0, R]`` (Figure 5).
 
-    Computed as ``n = 1 + (R − r)/s`` (Figure 5's ``R = (n−1)·s + r``),
+    Computed as ``n = 1 + ⌊(R − r)/s⌋`` (Figure 5's ``R = (n−1)·s + r``),
     which equals Equation 1's ``1 + (m−1)·r/s`` when ``R`` is a multiple
     of ``r``. The direct form also covers factor windows, whose range
-    need not divide ``R`` (their slide always does, because it divides
-    every downstream range)."""
-    if R < w.r or (R - w.r) % w.s:
-        raise ValueError(f"period {R} incompatible with {w} (need s | R−r)")
-    return 1 + (R - w.r) // w.s
+    need not divide ``R``, and windows with ``r mod s ≠ 0``, whose last
+    instance may end before ``R``; a window longer than ``R`` has none."""
+    return max(0, 1 + (R - w.r) // w.s)
 
 
 def raw_cost(w: Window, R: int, eta: int) -> int:

@@ -129,7 +129,8 @@ def algorithm3(wf: Window, w: Window, children: list[Window], R: int) -> bool:
     ``K ≥ 2`` → yes. ``K = 1``: no if the only child is tumbling
     (``k₁ = 1``) or fires once (``m₁ = 1``); yes if ``k₁ ≥ 3 ∧ m₁ ≥ 3``;
     otherwise the exact ratio test ``r_f/r_W ≥ λ/(λ−1)`` with
-    ``λ/(λ−1) = 1 + m₁/((m₁−1)(k₁−1))``.
+    ``λ/(λ−1) = 1 + m₁/((m₁−1)(k₁−1))``. Theorem 8's closed form assumes
+    ``r₁ = k₁·s₁``; a child with ``r₁ mod s₁ ≠ 0`` takes Equation 3 itself.
     """
     if not (wf.is_tumbling and w.is_tumbling):
         raise ValueError("Algorithm 3 requires tumbling W_f and W")
@@ -139,6 +140,8 @@ def algorithm3(wf: Window, w: Window, children: list[Window], R: int) -> bool:
     if K >= 2:
         return True
     (c1,) = children
+    if c1.r % c1.s:
+        return pattern_cost_delta(w, children, wf, R) <= 0
     k1 = c1.k
     m1 = R // c1.r
     if k1 == 1 or m1 == 1:
@@ -253,7 +256,8 @@ def algorithm2(
     ``η·R``, as much as that child reading the raw stream, and only adds
     a level. So a benefit pass closes the search: it removes the factor
     window (``S`` included) whose removal lowers the total most when
-    Algorithm 1 reruns without it, until no removal lowers it.
+    Algorithm 1 reruns over the plan's windows without it, until no
+    removal lowers it.
     """
     R = hyperperiod(windows) if R is None else R
     g = augment_wcg(build_wcg(windows, agg.semantics))
@@ -273,7 +277,9 @@ def algorithm2(
         g.add_window(wf, factor=True)
     m = minimize_over_graph(g, eta, R)
     while m.factors:
-        trials = [_without(g, f) for f in sorted(m.factors)]
+        # Over the plan's own windows: with the unused candidates back,
+        # Algorithm 1 may pick one that costs more than it saves.
+        trials = [_within(g, [w for w in m.windows if w != f]) for f in sorted(m.factors)]
         g_less, m_less = min(
             ((t, minimize_over_graph(t, eta, R)) for t in trials), key=lambda gm: gm[1].total
         )
@@ -283,12 +289,12 @@ def algorithm2(
     return m
 
 
-def _without(g: WCG, f: Window) -> WCG:
-    """A copy of ``g`` without the vertex ``f`` and its edges."""
-    keep = [w for w in g.windows if w != f]
+def _within(g: WCG, keep: list[Window]) -> WCG:
+    """``g`` over the vertices ``keep`` only."""
+    ks = set(keep)
     return WCG(
-        keep, g.semantics, edges={w: g.edges[w] - {f} for w in keep},
-        parents={w: g.parents[w] - {f} for w in keep}, factors=g.factors - {f},
+        keep, g.semantics, edges={w: g.edges[w] & ks for w in keep},
+        parents={w: g.parents[w] & ks for w in keep}, factors=g.factors & ks,
     )
 
 

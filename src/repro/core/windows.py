@@ -29,7 +29,8 @@ class Window:
     (and this reproduction) additionally assumes ``r`` is a multiple of
     ``s`` so that recurrence counts are integers (§3.2.1, footnote 4);
     ``Window`` itself only enforces ``0 < s ≤ r`` so the algebra stays
-    general, and the cost model asserts divisibility where it needs it.
+    general, and the cost model counts the instances inside its period,
+    which needs no divisibility.
     """
 
     r: int

@@ -15,7 +15,6 @@ inclusion–exclusion over residue classes with CRT compatibility pruning
 from __future__ import annotations
 
 import math
-from typing import Iterable
 
 from repro.core.windows import Window, lcm_many
 from repro.slicing import paired, paned
@@ -29,19 +28,19 @@ def slide_period(windows: list[Window]) -> int:
     return lcm_many([w.s for w in windows])
 
 
-def _edge_classes(windows: list[Window], technique: str) -> list[tuple[int, int]]:
+def edge_classes(windows: list[Window], technique: str) -> list[tuple[int, int]]:
     """Each window's edges as residue classes ``(residue, modulus)``.
 
-    An edge at offset ``e`` within a period of ``s`` occurs at all
-    positions ``≡ e (mod s)``; offsets are normalized to ``[0, s)`` so
-    the period-end edge ``s`` maps to residue 0.
+    A paned window's edges are the multiples of its pane, ``(0, g)``. A
+    paired window's edge at offset ``e`` within a period of ``s`` occurs
+    at all positions ``≡ e (mod s)``; offsets are normalized to
+    ``[0, s)`` so the period-end edge ``s`` maps to residue 0.
     """
-    mod = {"paned": paned.slice_edges_per_period, "paired": paired.slice_edges_per_period}
-    classes = []
-    for w in windows:
-        for e in mod[technique](w):
-            classes.append((e % w.s, w.s))
-    return sorted(set(classes))
+    if technique == "paned":
+        return sorted({(0, paned.pane_size(w)) for w in windows})
+    if technique != "paired":
+        raise ValueError(f"unknown slicing technique {technique!r}")
+    return sorted({(e % w.s, w.s) for w in windows for e in paired.slice_edges_per_period(w)})
 
 
 def _count_union_explicit(classes: list[tuple[int, int]], S: int) -> int:
@@ -92,7 +91,7 @@ def composed_edge_count(
     """``E`` — distinct slice edges of the composed sliced window per
     period ``S``. ``technique`` is ``"paned"`` or ``"paired"``."""
     S = slide_period(windows) if S is None else S
-    classes = _edge_classes(windows, technique)
+    classes = edge_classes(windows, technique)
     if S <= _EXPLICIT_LIMIT:
         return _count_union_explicit(classes, S)
     return _count_union_crt(classes, S)
@@ -101,11 +100,11 @@ def composed_edge_count(
 def composed_edges(windows: list[Window], technique: str, horizon: int) -> list[int]:
     """All composed slice-edge positions in ``(0, horizon]``, sorted.
 
-    Used by the executable slicing engine to build actual slice
-    boundaries over a concrete stream; ``horizon`` is the data span, not
-    the abstract period.
+    Lists the slice boundaries over a concrete stream (``horizon`` is
+    its span, not the abstract period) for tests and the benchmark; the
+    executable slicing engine reads :func:`edge_classes` instead.
     """
-    classes = _edge_classes(windows, technique)
+    classes = edge_classes(windows, technique)
     positions: set[int] = set()
     for res, m in classes:
         start = res if res > 0 else m

@@ -1,8 +1,9 @@
 """Paired windows (Krishnamurthy et al., "On-the-fly sharing") — §5.1.
 
 A paired window of ``W⟨r, s⟩`` slices each period of length ``s`` into at
-most two unequal slices ``(z1, z2)`` with ``z2 = r mod s`` and
-``z1 = s − z2``. When ``r`` is a multiple of ``s`` (all tumbling windows,
+most two unequal slices, ``z2 = r mod s`` and then ``z1 = s − z2``:
+instances ``[m·s, m·s + r)`` start at a multiple of ``s`` and end at
+residue ``z2``. When ``r`` is a multiple of ``s`` (all tumbling windows,
 and every window our generators emit), ``z2 = 0`` and the paired window
 degenerates to a single slice per period — which is why paired final
 costs collapse for tumbling window sets.
@@ -15,7 +16,8 @@ from repro.core.windows import Window
 
 
 def paired_slices(w: Window) -> tuple[int, ...]:
-    """Slice lengths ``(z1, z2)`` — or ``(s,)`` when ``r mod s == 0``."""
+    """Slice lengths ``(z1, z2)`` — or ``(s,)`` when ``r mod s == 0``; in
+    each period the ``z2`` slice comes first."""
     z2 = w.r % w.s
     if z2 == 0:
         return (w.s,)
@@ -23,11 +25,12 @@ def paired_slices(w: Window) -> tuple[int, ...]:
 
 
 def slice_edges_per_period(w: Window) -> list[int]:
-    """Slice end positions within one period ``(0, s]``."""
+    """Slice end positions within one period ``(0, s]``: where an
+    instance ends (``z2``) and where the next starts (``s``)."""
     z2 = w.r % w.s
     if z2 == 0:
         return [w.s]
-    return [w.s - z2, w.s]
+    return [z2, w.s]
 
 
 def slices_per_window(w: Window) -> int:

@@ -1,7 +1,8 @@
 """Source checks that need no Spark: no Python UDF sits on a hot path of
 the engine, so every operator stays inside Catalyst and the JVM; no
-engine call uncaches the caller's input; and every name the benchmark
-and job scripts import from the package still exists."""
+engine call uncaches the caller's input; building a plan starts no
+Spark job; and every name the benchmark and job scripts import from the
+package still exists."""
 import ast
 import importlib
 import importlib.util
@@ -82,6 +83,47 @@ def test_check_finds_an_uncaching_call(tmp_path):
     assert _uncaching_calls(src) == [
         "probe.py:2: dropTempView", "probe.py:3: sql", "probe.py:4: sql"
     ]
+
+
+#: Calls that run a Spark job (or wait on a streaming query).
+ACTIONS = {"collect", "first", "count", "take", "head", "toPandas", "awaitTermination"}
+#: The functions that run one on purpose: a metering count, and the
+#: streaming run that waits for its queries to drain.
+ACTION_OWNERS = {("rollup.py", "assignment_count"), ("streaming.py", "run_streaming_plan")}
+
+
+def _actions(path: Path) -> list[str]:
+    """Every call of a Spark action in ``path`` outside :data:`ACTION_OWNERS`."""
+    found = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ACTIONS and (path.name, owner) not in ACTION_OWNERS):
+            found.append(f"{path.name}:{node.lineno}: {node.func.attr}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text(), str(path)), "")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(ENGINE.glob("*.py")), ids=lambda p: p.name)
+def test_engine_plans_stay_lazy(path):
+    assert _actions(path) == []
+
+
+def test_check_finds_a_spark_action(tmp_path):
+    src = tmp_path / "probe.py"
+    src.write_text(
+        "def build(df):\n"
+        "    n = df.agg(F.max('tick')).first()[0]\n"
+        "    return df.limit(n).toPandas(), df.count()\n"
+        "def assignment_count(df):\n    return df.collect()\n"
+    )
+    assert _actions(src) == ["probe.py:2: first", "probe.py:3: toPandas", "probe.py:3: count",
+                             "probe.py:5: collect"]
 
 
 def _unresolved_imports(path: Path) -> list[str]:

@@ -3,9 +3,11 @@ oracle and against each other: baseline vs rewritten (WCG) vs rewritten
 with factor windows (WCG-FW)."""
 import pandas as pd
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from py4j.protocol import Py4JJavaError
 
-from repro.core.aggregates import get_aggregate
+from repro.core.aggregates import AGGREGATES, get_aggregate
 from repro.core.factor import algorithm2, optimize
 from repro.core.mincost import find_min_cost_wcg
 from repro.core.wcg import UNIT_WINDOW
@@ -19,6 +21,7 @@ from repro.engine.sliced_exec import slice_partials, sliced_window_agg
 from repro.oracle import assert_equivalent
 from repro.slicing.compose import composed_edges
 from repro.workloads.generators import chain_gen, star_gen
+from tests.window_sets import window_sets
 
 EX6 = [Window(x, x) for x in (10, 20, 30, 40)]
 EX7 = [Window(x, x) for x in (20, 30, 40)]
@@ -220,6 +223,24 @@ class TestRewrittenPlans:
             res.unpersist()
 
 
+class TestExecutedPlansProperty:
+    @settings(max_examples=45, deadline=None, derandomize=True)
+    @given(
+        ws=window_sets(n_max=4, s_max=8, k_max=4),
+        agg_name=st.sampled_from(sorted(AGGREGATES)),
+        eta=st.sampled_from([1, 10, 100]),
+    )
+    def test_bl_wcg_fw_and_sp_equal_the_oracle(self, spark, events, events_pdf, ws, agg_name, eta):
+        agg = get_aggregate(agg_name)
+        expected = multi_window_sql(ws, agg, HORIZON)
+        for got in (
+            execute_baseline(events, ws, agg),
+            execute_wcg(events, optimize(ws, agg, eta=eta), agg).output,
+            sliced_window_agg(events, ws, agg),
+        ):
+            assert_equivalent(got, expected, events=events_pdf)
+
+
 def _shuffle_write_records(spark, group: str) -> list[int]:
     """Records written by each shuffle the job group ran; a reused or
     skipped exchange runs no stage and is not listed."""
@@ -249,7 +270,7 @@ def _plan(events, plan: str, windows, agg):
     if plan == "bl":
         return execute_baseline(events, windows, agg), 1
     if plan == "sp":
-        return sliced_window_agg(events, windows, agg, horizon=HORIZON), 2
+        return sliced_window_agg(events, windows, agg), 2
     m = (find_min_cost_wcg if plan == "wcg" else optimize)(windows, agg, eta=1)
     return execute_wcg(events, m, agg).output, 1 + max(_depth(m, w) for w in m.windows)
 
@@ -344,14 +365,14 @@ class TestPlanShape:
 
     @pytest.mark.parametrize("horizon", [60, 600])
     def test_callers_edges_release_sp_cache(self, spark, horizon):
-        # Up to 2·S = 240 SP lists the caller's edges; past it, two periods
-        # of them. Either way SP caches nothing, and a caller that
-        # unpersists the slices by its own edges releases nothing else.
+        # SP caches nothing over a stream shorter or longer than S = 60,
+        # and a caller that unpersists the slices by its own listed edges
+        # releases nothing else.
         ev = event_stream(spark, horizon=horizon, eta=1, n_keys=2, seed=3)
         agg = get_aggregate("sum")
         jsc = spark.sparkContext._jsc.sc()
         cached_before = {i.id() for i in jsc.getRDDStorageInfo()}
-        sliced_window_agg(ev, EX7, agg, horizon=horizon).collect()
+        sliced_window_agg(ev, EX7, agg).collect()
         assert {i.id() for i in jsc.getRDDStorageInfo()} == cached_before
         slice_partials(ev, composed_edges(EX7, "paired", horizon + 40), agg).unpersist()
         assert {i.id() for i in jsc.getRDDStorageInfo()} == cached_before
@@ -370,7 +391,7 @@ class TestPlanShape:
                 res.output.collect()
                 res.unpersist()
             else:
-                sliced_window_agg(ev, EX7, agg, horizon=60).collect()
+                sliced_window_agg(ev, EX7, agg).collect()
                 slice_partials(ev, composed_edges(EX7, "paired", 100), agg).unpersist()
             assert ev.storageLevel == level
             scan = ev.groupBy("key").count()._jdf.queryExecution().executedPlan().toString()

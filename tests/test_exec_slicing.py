@@ -6,10 +6,9 @@ import pytest
 from repro.core.aggregates import get_aggregate
 from repro.core.windows import Window
 from repro.engine.oracle_sql import multi_window_sql
-from repro.engine.sliced_exec import assign_slices, edge_period, sliced_window_agg, slice_partials
+from repro.engine.sliced_exec import assign_slices, sliced_window_agg, slice_partials
 from repro.engine.streams import event_stream, event_stream_pdf
 from repro.oracle import assert_equivalent
-from repro.slicing.compose import composed_edges
 
 HORIZON = 60
 GENERAL = [Window(12, 4), Window(10, 2), Window(6, 6)]
@@ -37,22 +36,17 @@ class TestSliceAssignment:
         for r in rows:
             assert r.slice_start <= r.tick < r.slice_end
 
-    def test_period_recovered_from_edges(self):
-        # Example 7's composed edges repeat every 60 ticks however far they
-        # are listed; a list that never repeats is its own period.
-        edges = [e for e in range(1, 400) if e % 20 == 0 or e % 30 == 0]
-        assert edge_period(edges) == 60
-        assert edge_period(edges[:8]) == 60  # up to 120: two periods
-        # A list shorter than two periods shows no repetition.
-        assert edge_period(edges[:7]) == 100
-        assert edge_period([4, 8, 10, 20, 40, 60]) == 60
-        assert edge_period([5]) == 5
-
-    def test_events_past_a_non_repeating_list_drop_out(self, spark, events):
+    def test_listed_edges_repeat_every_last_edge(self, spark, events):
+        # [4, 8, 10, 20] repeats every 20 ticks: tick 25 is in [24, 28).
         rows = assign_slices(events, [4, 8, 10, 20]).collect()
-        assert len(rows) == 20 * 2
+        assert len(rows) == HORIZON * 2
+        starts = {r.tick: (r.slice_start, r.slice_end) for r in rows}
+        assert starts[25] == (24, 28)
+        assert starts[39] == (30, 40) and starts[40] == (40, 44)
         for r in rows:
-            assert r.slice_start <= r.tick < r.slice_end <= 20
+            piece = (r.slice_start % 20, r.slice_end - r.slice_start)
+            assert piece in {(0, 4), (4, 4), (8, 2), (10, 10)}
+            assert r.slice_start <= r.tick < r.slice_end
 
     def test_partials_one_row_per_slice_key(self, spark, events):
         agg = get_aggregate("count")
@@ -68,18 +62,14 @@ class TestSliceAssignment:
 class TestSlicedEvaluation:
     def test_general_windows_min(self, spark, events, events_pdf, technique, shared):
         agg = get_aggregate("min")
-        got = sliced_window_agg(
-            events, GENERAL, agg, technique=technique, shared=shared, horizon=HORIZON
-        )
+        got = sliced_window_agg(events, GENERAL, agg, technique=technique, shared=shared)
         assert_equivalent(
             got, multi_window_sql(GENERAL, agg, HORIZON), events=events_pdf
         )
 
     def test_tumbling_windows_sum(self, spark, events, events_pdf, technique, shared):
         agg = get_aggregate("sum")
-        got = sliced_window_agg(
-            events, TUMBLING, agg, technique=technique, shared=shared, horizon=HORIZON
-        )
+        got = sliced_window_agg(events, TUMBLING, agg, technique=technique, shared=shared)
         assert_equivalent(
             got, multi_window_sql(TUMBLING, agg, HORIZON), events=events_pdf
         )
@@ -87,24 +77,41 @@ class TestSlicedEvaluation:
     def test_avg_algebraic_state(self, spark, events, events_pdf, technique, shared):
         agg = get_aggregate("avg")
         ws = [Window(6, 2), Window(12, 6)]
-        got = sliced_window_agg(
-            events, ws, agg, technique=technique, shared=shared, horizon=HORIZON
-        )
+        got = sliced_window_agg(events, ws, agg, technique=technique, shared=shared)
+        assert_equivalent(got, multi_window_sql(ws, agg, HORIZON), events=events_pdf)
+
+    @pytest.mark.parametrize("agg_name", ["count", "min", "sum", "avg"])
+    @pytest.mark.parametrize(
+        "ws", [[Window(4, 3)], [Window(11, 7), Window(13, 3), Window(21, 5)]],
+        ids=["4-3", "11-7,13-3,21-5"],
+    )
+    def test_r_mod_s_nonzero(self, spark, events, events_pdf, technique, shared, ws, agg_name):
+        # Instances [m·s, m·s + r) end at residue r mod s of their slide.
+        agg = get_aggregate(agg_name)
+        got = sliced_window_agg(events, ws, agg, technique=technique, shared=shared)
         assert_equivalent(got, multi_window_sql(ws, agg, HORIZON), events=events_pdf)
 
 
 @pytest.mark.parametrize("horizon", [HORIZON, None])
 @pytest.mark.parametrize("agg_name", ["min", "sum"])
 def test_coprime_slides_vs_oracle(spark, events, events_pdf, agg_name, horizon):
-    # S = lcm(7, 9, 11, 13, 16) = 144,144 ticks; the slices are listed
-    # over the 60-tick stream only, not over two periods.
+    # S = lcm(7, 9, 11, 13, 16) = 144,144 ticks, and no edge is listed.
+    # ``horizon`` is still accepted, and not read: both give the same rows.
     ws = [Window(21, 7), Window(9, 9), Window(22, 11), Window(13, 13), Window(32, 16)]
     agg = get_aggregate(agg_name)
     got = sliced_window_agg(events, ws, agg, horizon=horizon)
+    assert_equivalent(got, multi_window_sql(ws, agg, HORIZON), events=events_pdf)
+
+
+def test_plan_is_built_without_a_spark_job(spark, events):
+    sc = spark.sparkContext
+    sc.setJobGroup("sp-build", "sp-build")
     try:
-        assert_equivalent(got, multi_window_sql(ws, agg, HORIZON), events=events_pdf)
+        df = sliced_window_agg(events, GENERAL, get_aggregate("min"))
     finally:
-        slice_partials(events, composed_edges(ws, "paired", HORIZON + 32), agg).unpersist()
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    assert list(sc.statusTracker().getJobIdsForGroup("sp-build")) == []
+    assert df.count() > 0
 
 
 EDGE_STREAMS = {
@@ -118,9 +125,9 @@ EDGE_STREAMS = {
 @pytest.mark.parametrize("stream", sorted(EDGE_STREAMS))
 @pytest.mark.parametrize("agg_name", ["min", "max", "sum", "count", "avg"])
 def test_shared_paired_edge_streams_vs_oracle(spark, agg_name, stream):
-    # Events before 0 belong to no instance and ticks past the slices'
-    # last edge to the instances they fall in, as in the baseline plan;
-    # an empty stream has no rows, however its horizon is found.
+    # Events before 0 belong to no instance and later ticks to the
+    # instances they fall in, as in the baseline plan; an empty stream
+    # has no rows.
     rows = EDGE_STREAMS[stream]
     ev = spark.createDataFrame(rows, "tick long, key long, v double")
     pdf = pd.DataFrame(rows, columns=["tick", "key", "v"]).astype(
@@ -128,8 +135,5 @@ def test_shared_paired_edge_streams_vs_oracle(spark, agg_name, stream):
     )
     ws = [Window(4, 4), Window(8, 4)]
     agg = get_aggregate(agg_name)
-    got = sliced_window_agg(ev, ws, agg, horizon=None if stream == "empty" else 12)
-    try:
-        assert_equivalent(got, multi_window_sql(ws, agg, 600), events=pdf)
-    finally:
-        slice_partials(ev, [4, 8], agg).unpersist()  # the slices SP persisted
+    got = sliced_window_agg(ev, ws, agg)
+    assert_equivalent(got, multi_window_sql(ws, agg, 600), events=pdf)

@@ -21,7 +21,8 @@ from repro.core.factor import (
 from repro.core.mincost import find_min_cost_wcg, minimize_over_graph
 from repro.core.wcg import UNIT_WINDOW, augment_wcg, build_wcg
 from repro.core.windows import Window, hyperperiod
-from repro.workloads.generators import chain_gen, random_gen, random_graph_gen, star_gen
+from repro.workloads.generators import chain_gen, random_gen, star_gen
+from tests.window_sets import window_sets
 
 MIN = get_aggregate("min")
 SUM = get_aggregate("sum")
@@ -118,6 +119,16 @@ class TestAlgorithm3:
     def test_m1_equal_1_false(self):
         child = Window(120, 60)  # m1 = 1 ⇒ n1 = 1, λ = 1
         assert not algorithm3(Window(60, 60), Window(30, 30), [child], self.R)
+
+    @pytest.mark.parametrize("child, wf", [
+        (Window(6, 4), Window(2, 2)), (Window(20, 8), Window(4, 4)),
+        (Window(45, 30), Window(15, 15)),
+    ])
+    def test_child_with_r_mod_s_nonzero_takes_equation3(self, child, wf):
+        # Theorem 8's closed form assumes r1 = k1·s1; such a child is
+        # judged by Equation 3 itself.
+        delta = pattern_cost_delta(UNIT_WINDOW, [child], wf, self.R)
+        assert algorithm3(wf, UNIT_WINDOW, [child], self.R) == (delta <= 0)
 
     def test_requires_tumbling(self):
         with pytest.raises(ValueError):
@@ -243,10 +254,6 @@ class TestAlgorithm2AndOptimize:
         assert optimize(ws, SUM, eta=1).total == 150
 
 
-def _graph_gen(n, s_max, k_max, seed):
-    return random_graph_gen(levels=3, base=2, delta=2, s_max=s_max, k_max=k_max, seed=seed)
-
-
 class TestOptimizerTotal:
     def test_tumbling_factor_divides_child_slides(self):
         # W(30,15) is partitioned by a tumbling window only if its range
@@ -254,17 +261,14 @@ class TestOptimizerTotal:
         m = optimize([Window(5, 5), Window(15, 5), Window(30, 15)], SUM, eta=1)
         assert set(m.exposed()) == {Window(5, 5), Window(15, 5), Window(30, 15)}
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(
-        gen=st.sampled_from([random_gen, chain_gen, star_gen, _graph_gen]),
+        ws=window_sets(n_max=6, s_max=16, k_max=8),
         agg=st.sampled_from(sorted(AGGREGATES)),
-        seed=st.integers(0, 10_000),
-        n=st.integers(2, 6),
         eta=st.sampled_from([1, 10, 100]),
     )
-    def test_optimize_keeps_the_papers_invariants(self, gen, agg, seed, n, eta):
-        ws = gen(n=n, s_max=16, k_max=8, seed=seed)
-        assert all(w.r % w.s == 0 for w in ws)
+    def test_optimize_keeps_the_papers_invariants(self, ws, agg, eta):
+        # The generators draw r = k·s; the arbitrary sets need not.
         spec = get_aggregate(agg)
         m = optimize(ws, spec, eta=eta)
         # A forest over the query and factor windows, every c_i as the
@@ -281,6 +285,27 @@ class TestOptimizerTotal:
         # windows without it finds no cheaper plan.
         for f in m.factors:
             assert _total_without(m, f, spec) >= m.total, f
+
+    @pytest.mark.parametrize("agg", sorted(AGGREGATES))
+    def test_windows_with_r_mod_s_nonzero(self, agg):
+        # W(6,4) has instances [0,6), [4,10), [8,14): two inside R = 12.
+        ws = [Window(4, 4), Window(6, 4)]
+        m = optimize(ws, get_aggregate(agg), eta=1)
+        assert sorted(m.exposed()) == ws
+        assert m.total <= baseline_cost(ws, 1) == 12 + 2 * 6
+
+    def test_benefit_pass_reruns_over_the_plans_windows(self):
+        # Without W(126,126), Algorithm 1 over every candidate picked
+        # another one that cost more; over the plan's windows it is cheaper.
+        ws = [Window(r, s) for r, s in (
+            (14, 7), (28, 14), (63, 7), (63, 9), (70, 14), (84, 7), (98, 7), (108, 18),
+            (126, 9), (180, 36), (324, 36), (504, 252),
+        )]
+        spec = get_aggregate("max")
+        m = optimize(ws, spec, eta=1)
+        assert m.factors == {Window(99, 9)}
+        assert m.total == 2049292
+        assert _total_without(m, Window(99, 9), spec) >= m.total
 
     def test_example7_drops_the_unit_root_at_eta_25(self):
         # S would feed only W(10,10): a level that saves nothing.

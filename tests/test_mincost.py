@@ -34,13 +34,16 @@ class TestRecurrenceCount:
             R = 60
             assert recurrence_count(w, R) == len(list(w.intervals_within(R)))
 
-    def test_incompatible_period_raises(self):
-        with pytest.raises(ValueError):
-            recurrence_count(Window(10, 3), 20)  # (20−10) % 3 ≠ 0
+    def test_incompatible_period_counts_instances_inside(self):
+        # (20−10) % 3 ≠ 0: the last instance inside [0, 20] ends at 19.
+        for w, R in [(Window(10, 3), 20), (Window(6, 4), 12), (Window(7, 3), 100)]:
+            assert recurrence_count(w, R) == len(list(w.intervals_within(R)))
+        assert recurrence_count(Window(10, 3), 20) == 4
 
-    def test_period_smaller_than_range_raises(self):
-        with pytest.raises(ValueError):
-            recurrence_count(Window(10, 2), 8)
+    def test_period_shorter_than_range_counts_none(self):
+        w = Window(10, 2)
+        for R in range(10):
+            assert recurrence_count(w, R) == 0 == len(list(w.intervals_within(R)))
 
 
 class TestCosts:

@@ -8,7 +8,7 @@ from repro.slicing import paired, paned
 from repro.slicing.compose import (
     _count_union_crt,
     _count_union_explicit,
-    _edge_classes,
+    edge_classes,
     composed_edge_count,
     composed_edges,
     slide_period,
@@ -81,7 +81,7 @@ class TestComposedEdges:
     @pytest.mark.parametrize("ws", [GENERAL, TUMBLING])
     def test_explicit_matches_crt(self, technique, ws):
         S = slide_period(ws)
-        classes = _edge_classes(ws, technique)
+        classes = edge_classes(ws, technique)
         assert _count_union_explicit(classes, S) == _count_union_crt(classes, S)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -89,7 +89,7 @@ class TestComposedEdges:
     def test_explicit_matches_crt_random(self, seed, technique):
         ws = random_gen(n=4, s_max=10, k_max=5, seed=seed)
         S = slide_period(ws)
-        classes = _edge_classes(ws, technique)
+        classes = edge_classes(ws, technique)
         assert _count_union_explicit(classes, S) == _count_union_crt(classes, S)
 
     def test_count_matches_edge_list(self):
