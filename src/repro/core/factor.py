@@ -18,11 +18,11 @@ This module implements:
   ranges are common factors of child ranges that are multiples of
   ``r_W``; dependent candidates pruned; winner picked per Theorem 9.
 * ``theorem9_prefers`` — the ratio comparator of Theorem 9.
-* ``algorithm2`` / ``optimize`` — expand the augmented WCG with the best
-  factor window per vertex, rerun Algorithm 1 (unused factors pruned),
-  drop every factor window that does not pay for itself, and return the
-  better of the factor-free and factor-enabled plans
-  (§4.3: Algorithm 2 is a Steiner-tree heuristic, not guaranteed
+* ``algorithm2`` / ``optimize`` — rerun Algorithm 1 over the WCG of the
+  augmented windows plus the best factor window per vertex (unused
+  factors pruned), drop every factor window that does not pay for
+  itself, and return the better of the factor-free and factor-enabled
+  plans (§4.3: Algorithm 2 is a Steiner-tree heuristic, not guaranteed
   optimal, so the paper keeps whichever of Alg 1/Alg 2 wins).
 """
 from __future__ import annotations
@@ -65,16 +65,6 @@ def pattern_cost_delta(
     return with_f - without
 
 
-def eligible(w: Window, children: list[Window], wf: Window) -> bool:
-    """Figure 9's coverage constraints: ``wf ≤ w`` and ``c ≤ wf`` ∀c."""
-    return (
-        wf != w
-        and wf not in children
-        and covers(wf, w)
-        and all(covers(c, wf) for c in children)
-    )
-
-
 def generate_candidates(
     w: Window, children: list[Window], semantics: Semantics
 ) -> list[Window]:
@@ -82,10 +72,11 @@ def generate_candidates(
 
     Slides: divisors of ``s_d = gcd(child slides)`` that are multiples of
     ``s_W``. Ranges: multiples of ``s_f`` up to ``min(child ranges)``.
-    Each (s_f, r_f) pair is kept only if the full coverage constraints of
-    Figure 9 hold. Under "partitioned by" semantics candidates must be
-    tumbling (Theorem 4), which Algorithm 4 exploits; this generic path
-    still honours it via ``edge_allowed``.
+    Each (s_f, r_f) pair is kept only if ``edge_allowed`` lets ``wf`` roll
+    up from ``w`` and every child from ``wf`` — Figure 9's constraints,
+    which also rule out ``wf = w`` and ``wf`` among the children. Under
+    "partitioned by" semantics this keeps only tumbling candidates
+    (Theorem 4), which Algorithm 4 exploits.
     """
     if not children:
         return []
@@ -97,13 +88,10 @@ def generate_candidates(
             continue
         for r_f in range(s_f, r_min + 1, s_f):
             wf = Window(r_f, s_f)
-            if not eligible(w, children, wf):
-                continue
-            if not edge_allowed(wf, w, semantics):
-                continue
-            if not all(edge_allowed(c, wf, semantics) for c in children):
-                continue
-            out.append(wf)
+            if edge_allowed(wf, w, semantics) and all(
+                edge_allowed(c, wf, semantics) for c in children
+            ):
+                out.append(wf)
     return out
 
 
@@ -245,19 +233,20 @@ def algorithm2(
     Builds the augmented WCG (virtual root ``S⟨1,1⟩``), finds the best
     factor window for every vertex's Figure-9 pattern (Algorithm 4 under
     "partitioned by", the generic Eq.-2/3 search under "covered by"),
-    adds them all, and reruns Algorithm 1 over the expanded graph.
-    Factor vertices nothing reads from — including ``S`` — are pruned.
+    and reruns Algorithm 1 over the WCG of the augmented windows plus all
+    of them. Factor vertices nothing reads from — including ``S`` — are
+    pruned.
 
     Candidates are chosen against the *original* augmented graph (one
-    pattern per vertex, as the paper's `foreach` does), then inserted in
-    one batch so the result is independent of iteration order. Each was
-    chosen for its Figure-9 pattern, but Algorithm 1 may then leave it
-    fewer children than it was chosen for: ``S`` with one child costs
-    ``η·R``, as much as that child reading the raw stream, and only adds
-    a level. So a benefit pass closes the search: it removes the factor
-    window (``S`` included) whose removal lowers the total most when
-    Algorithm 1 reruns over the plan's windows without it, until no
-    removal lowers it.
+    pattern per vertex, as the paper's `foreach` does), and a WCG is a
+    value of its window set, so the result is independent of iteration
+    order. Each was chosen for its Figure-9 pattern, but Algorithm 1 may
+    then leave it fewer children than it was chosen for: ``S`` with one
+    child costs ``η·R``, as much as that child reading the raw stream,
+    and only adds a level. So a benefit pass closes the search: it
+    removes the factor window (``S`` included) whose removal lowers the
+    total most when Algorithm 1 reruns over the WCG of the plan's windows
+    without it, until no removal lowers it.
     """
     R = hyperperiod(windows) if R is None else R
     g = augment_wcg(build_wcg(windows, agg.semantics))
@@ -273,29 +262,20 @@ def algorithm2(
             wf = find_best_factor_generic(w, children, agg.semantics, R)
         if wf is not None and wf not in taken and wf not in chosen:
             chosen.append(wf)
-    for wf in chosen:
-        g.add_window(wf, factor=True)
+    g = WCG((*g.windows, *chosen), g.semantics, g.factors | set(chosen))
     m = minimize_over_graph(g, eta, R)
     while m.factors:
         # Over the plan's own windows: with the unused candidates back,
         # Algorithm 1 may pick one that costs more than it saves.
-        trials = [_within(g, [w for w in m.windows if w != f]) for f in sorted(m.factors)]
-        g_less, m_less = min(
-            ((t, minimize_over_graph(t, eta, R)) for t in trials), key=lambda gm: gm[1].total
+        trials = (
+            WCG(tuple(w for w in m.windows if w != f), g.semantics, frozenset(m.factors - {f}))
+            for f in sorted(m.factors)
         )
+        m_less = min((minimize_over_graph(t, eta, R) for t in trials), key=lambda t: t.total)
         if m_less.total >= m.total:
             break
-        g, m = g_less, m_less
+        m = m_less
     return m
-
-
-def _within(g: WCG, keep: list[Window]) -> WCG:
-    """``g`` over the vertices ``keep`` only."""
-    ks = set(keep)
-    return WCG(
-        keep, g.semantics, edges={w: g.edges[w] & ks for w in keep},
-        parents={w: g.parents[w] & ks for w in keep}, factors=g.factors & ks,
-    )
 
 
 def optimize(

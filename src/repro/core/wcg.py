@@ -2,8 +2,9 @@
 
 The WCG of a window set ``W`` has an edge ``(W2, W1)`` for every pair with
 ``W1 ≤ W2`` (``W2`` covers ``W1``; data flows *from* W2's sub-aggregates
-*to* W1). Construction is O(|W|²) pairwise tests (Theorems 1/4 make each
-test O(1)).
+*to* W1). The graph is a value of its vertices: constructing a ``WCG``
+derives every edge in one pass of O(|W|²) pairwise tests (Theorems 1/4
+make each test O(1)), and nothing changes it afterwards.
 
 The *augmented* WCG (§4.1) additionally contains the virtual unit
 tumbling window ``S⟨1,1⟩`` with an edge to every window that has no other
@@ -26,79 +27,54 @@ def edge_allowed(child: Window, parent: Window, semantics: Semantics) -> bool:
     """True iff ``child`` may roll up from ``parent`` under ``semantics``.
 
     "covered by" for MIN/MAX, "partitioned by" for COUNT/SUM/AVG (§3.1).
-    Self-edges are excluded — a window cannot be its own upstream.
+    Self-edges are excluded — a window cannot be its own upstream — and
+    so is every other ``parent`` whose range is not below ``child``'s,
+    which neither covers nor partitions it (Theorems 1 and 4).
     """
-    if child == parent:
+    if child.r <= parent.r:
         return False
     if semantics is Semantics.COVERED_BY:
         return covers(child, parent)
     return partitions(child, parent)
 
 
-@dataclass
+@dataclass(frozen=True)
 class WCG:
-    """A window coverage graph over ``windows``.
+    """The window coverage graph over ``windows``.
 
     ``edges`` maps each window to the set of windows it covers (its
     potential *downstream* consumers); ``parents`` is the reverse map.
+    Both are derived from ``windows`` and ``semantics`` on construction.
     ``factors`` records which vertices are auxiliary (factor windows or
     the virtual root) whose results must not be exposed to the user.
     """
 
-    windows: list[Window]
+    windows: tuple[Window, ...]
     semantics: Semantics
-    edges: dict[Window, set[Window]] = field(default_factory=dict)
-    parents: dict[Window, set[Window]] = field(default_factory=dict)
-    factors: set[Window] = field(default_factory=set)
+    factors: frozenset[Window] = frozenset()
+    edges: dict[Window, set[Window]] = field(init=False, repr=False, compare=False)
+    parents: dict[Window, set[Window]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for w in self.windows:
-            self.edges.setdefault(w, set())
-            self.parents.setdefault(w, set())
-
-    def add_edge(self, parent: Window, child: Window) -> None:
-        self.edges[parent].add(child)
-        self.parents[child].add(parent)
-
-    def add_window(self, w: Window, *, factor: bool = False) -> None:
-        """Insert a vertex (typically a factor window) with all coverage
-        edges to/from the existing vertices recomputed."""
-        if w in self.edges:
-            if factor:
-                return  # already present as a query window; nothing to add
-            raise ValueError(f"{w} already in WCG")
-        self.windows.append(w)
-        self.edges[w] = set()
-        self.parents[w] = set()
-        if factor:
-            self.factors.add(w)
-        for other in self.windows:
-            if other == w:
-                continue
-            if edge_allowed(other, w, self.semantics):
-                self.add_edge(w, other)
-            if edge_allowed(w, other, self.semantics):
-                self.add_edge(other, w)
-
-    def exposed(self) -> list[Window]:
-        """Windows whose results the query returns (non-factor vertices)."""
-        return [w for w in self.windows if w not in self.factors]
+        if len(set(self.windows)) != len(self.windows):
+            raise ValueError("window set contains duplicates")
+        edges: dict[Window, set[Window]] = {}
+        parents: dict[Window, set[Window]] = {w: set() for w in self.windows}
+        for p in self.windows:
+            edges[p] = {c for c in self.windows if edge_allowed(c, p, self.semantics)}
+            for c in edges[p]:
+                parents[c].add(p)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "parents", parents)
 
 
 def build_wcg(windows: list[Window], semantics: Semantics) -> WCG:
     """Construct the (non-augmented) WCG of §2.3."""
-    if len(set(windows)) != len(windows):
-        raise ValueError("window set contains duplicates")
-    g = WCG(windows=list(windows), semantics=semantics)
-    for w1 in windows:
-        for w2 in windows:
-            if edge_allowed(w1, w2, semantics):
-                g.add_edge(w2, w1)
-    return g
+    return WCG(tuple(windows), semantics)
 
 
 def augment_wcg(g: WCG) -> WCG:
-    """Return a copy of ``g`` augmented with the virtual root ``S⟨1,1⟩``.
+    """``g`` augmented with the virtual root ``S⟨1,1⟩``.
 
     §4.1: ``S`` is added (unless already a query window) and covers every
     window; the paper draws edges only to windows with no other incoming
@@ -106,10 +82,6 @@ def augment_wcg(g: WCG) -> WCG:
     all edges — Algorithm 1's min-selection makes the extra edges harmless
     and they let every vertex be treated uniformly as Figure 9's ``W``.
     """
-    out = WCG(windows=list(g.windows), semantics=g.semantics, factors=set(g.factors))
-    for p, cs in g.edges.items():
-        for c in cs:
-            out.add_edge(p, c)
-    if UNIT_WINDOW not in out.edges:
-        out.add_window(UNIT_WINDOW, factor=True)
-    return out
+    if UNIT_WINDOW in g.edges:
+        return g
+    return WCG((*g.windows, UNIT_WINDOW), g.semantics, g.factors | {UNIT_WINDOW})

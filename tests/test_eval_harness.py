@@ -5,11 +5,14 @@ analytic costs on seeded random window sets. Absolute values depend on
 RNG seeds and the unstated s_max/k_max, but §5.3's *observations* are
 parameter-robust; each is asserted here against our generated tables.
 """
+from pathlib import Path
+
 import pytest
 
 from repro.core.aggregates import get_aggregate
 from repro.core.windows import Window
 from repro.evalfw.harness import (
+    ALL_FIGURES,
     figure11,
     figure12,
     figure13,
@@ -85,6 +88,16 @@ class TestRowsStructure:
     def test_markdown_table_renders(self, fig11):
         text = markdown_table(fig11[100], "Fig 11, η=100")
         assert text.count("\n") > 10 and "WCG-FW" in text
+
+    @pytest.mark.parametrize("name", sorted(ALL_FIGURES))
+    def test_full_tables_match_experiments_md(self, name, request):
+        # Every cell of every panel, so optimizer drift cannot pass as a
+        # shape that still holds.
+        text = (Path(__file__).resolve().parents[1] / "EXPERIMENTS.md").read_text()
+        full = text[text.index("### Full tables"):text.index("## 5.")]
+        for panel, rows in request.getfixturevalue(name).items():
+            label = f"η={panel}" if isinstance(panel, int) else panel
+            assert markdown_table(rows, f"{name} ({label})") in full, (name, panel)
 
 
 class TestFigure11Shapes:

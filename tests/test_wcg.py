@@ -1,4 +1,6 @@
 """WCG construction (§2.3) and augmentation (§4.1)."""
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from repro.core.aggregates import Semantics
@@ -6,6 +8,7 @@ from repro.core.wcg import UNIT_WINDOW, WCG, augment_wcg, build_wcg, edge_allowe
 from repro.core.windows import Window, covers, partitions
 
 TUMB = [Window(x, x) for x in (10, 20, 30, 40)]
+W10 = Window(10, 10)
 
 
 class TestEdgeAllowed:
@@ -49,8 +52,8 @@ class TestBuildWCG:
 
     def test_no_factor_vertices_initially(self):
         g = build_wcg(TUMB, Semantics.COVERED_BY)
-        assert g.factors == set()
-        assert g.exposed() == TUMB
+        assert g.factors == frozenset()
+        assert g.windows == tuple(TUMB)
 
     def test_general_windows_covered_by(self):
         # W(10,2) ≤ W(8,2) (paper Example 2) appears as an edge.
@@ -58,16 +61,23 @@ class TestBuildWCG:
         assert Window(10, 2) in g.edges[Window(8, 2)]
 
     def test_edges_match_predicate_exhaustively(self):
+        # Over the query windows, then over the augmented graph with a
+        # hopping and a tumbling factor window (S⟨1,1⟩ is a factor too).
         ws = [Window(k * s, s) for s in (2, 3, 4) for k in (1, 2, 3)]
         for sem, pred in [
             (Semantics.COVERED_BY, covers),
             (Semantics.PARTITIONED_BY, partitions),
         ]:
-            g = build_wcg(ws, sem)
-            for p in ws:
-                for c in ws:
-                    expect = c != p and pred(c, p)
-                    assert (c in g.edges[p]) == expect
+            fs = frozenset({UNIT_WINDOW, Window(10, 2), Window(6, 6)})
+            for g in (
+                build_wcg(ws, sem),
+                WCG((*ws, *sorted(fs)), sem, fs),
+            ):
+                for p in g.windows:
+                    assert g.parents[p] == {q for q in g.windows if p in g.edges[q]}
+                    for c in g.windows:
+                        expect = c != p and pred(c, p)
+                        assert (c in g.edges[p]) == expect
 
 
 class TestAugmentWCG:
@@ -92,23 +102,30 @@ class TestAugmentWCG:
 
     def test_exposed_excludes_root(self):
         g = augment_wcg(build_wcg(TUMB, Semantics.PARTITIONED_BY))
-        assert g.exposed() == TUMB
+        assert g.factors == {UNIT_WINDOW}
+        assert [w for w in g.windows if w not in g.factors] == TUMB
 
 
-class TestAddWindow:
-    def test_add_factor_recomputes_edges(self):
-        g = build_wcg([Window(20, 20), Window(30, 30)], Semantics.PARTITIONED_BY)
-        g.add_window(Window(10, 10), factor=True)
-        assert g.edges[Window(10, 10)] == {Window(20, 20), Window(30, 30)}
-        assert Window(10, 10) in g.factors
+class TestFactorVertices:
+    def test_factor_vertex_gets_its_edges(self):
+        w20, w30 = Window(20, 20), Window(30, 30)
+        g = WCG((w20, w30, W10), Semantics.PARTITIONED_BY, frozenset({W10}))
+        assert g.edges[W10] == {w20, w30}
+        assert g.parents[w20] == g.parents[w30] == {W10}
+        assert g.factors == {W10}
 
-    def test_add_existing_nonfactor_raises(self):
+    def test_duplicate_vertex_raises(self):
+        with pytest.raises(ValueError, match="duplicates"):
+            WCG((*TUMB, W10), Semantics.COVERED_BY, frozenset({W10}))
+
+    def test_augmenting_an_augmented_graph_changes_nothing(self):
+        g = augment_wcg(build_wcg(TUMB, Semantics.COVERED_BY))
+        assert augment_wcg(g) == g
+        assert g.windows.count(UNIT_WINDOW) == 1
+
+    def test_graph_is_a_frozen_value(self):
         g = build_wcg(TUMB, Semantics.COVERED_BY)
-        with pytest.raises(ValueError):
-            g.add_window(Window(10, 10))
-
-    def test_add_existing_as_factor_is_noop(self):
-        g = build_wcg(TUMB, Semantics.COVERED_BY)
-        g.add_window(Window(10, 10), factor=True)
-        assert g.windows.count(Window(10, 10)) == 1
-        assert Window(10, 10) not in g.factors
+        assert g == WCG(tuple(TUMB), Semantics.COVERED_BY)
+        assert g != augment_wcg(g)
+        with pytest.raises(FrozenInstanceError):
+            g.factors = frozenset({W10})
