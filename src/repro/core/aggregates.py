@@ -16,6 +16,16 @@ along a WCG edge), and its finalizer, so the plan executor can build
 rewritten DataFrame plans without per-aggregate special cases. SQL text
 costs one call into the JVM per expression, where a tree of ``Column``
 objects costs one per node.
+
+SUM and AVG keep their sum as ``decimal(38, 18)``: the root adds its
+events in double, as a plain ``sum(v)`` does, and casts the total once per
+group; every merge after it adds decimals, which is exact. So an answer
+depends only on the root partials, whatever the plan or the order in
+which Spark delivers them, and BL returns the double sums a plain
+``sum(v)`` does (a sum of −0.0 alone returns 0.0). The state sets the
+input domain of every plan alike: a sum must be finite and below 10^20 in
+magnitude. A root sum outside it raises, as does a merged one under ANSI
+mode (Spark's default).
 """
 from __future__ import annotations
 
@@ -40,7 +50,7 @@ class AggSpec:
     window; ``final`` turns partial state into the user-visible result.
     All three are Spark SQL text. For distributive functions merge ==
     partial-on-state; for algebraic AVG the state is (sum, count) and
-    final divides.
+    final divides. SUM and AVG need finite sums below 10^20 in magnitude.
     """
 
     name: str
@@ -52,18 +62,16 @@ class AggSpec:
 
     def duckdb_expr(self, value_col: str) -> str:
         """The equivalent DuckDB aggregate expression, for the oracle."""
-        fn = {"min": "min", "max": "max", "sum": "sum", "count": "count", "avg": "avg"}[
-            self.name
-        ]
-        return f"{fn}({value_col})"
+        return f"{self.name}({value_col})"
 
 
-def _ordered_sum(c: str) -> str:
-    """SUM of the pieces in ``c`` added in ascending order, so that plans
-    delivering the same pieces in different orders (batch or streaming,
-    however partitioned) return the same bits despite floating point."""
-    fold = f"aggregate(array_sort(collect_list({c})), 0D, (acc, x) -> acc + x)"
-    return f"if(count({c}) > 0, {fold}, NULL) AS {c}"
+#: A root's double sum as the exact state that SUM and AVG merge. Spark
+#: casts a NaN or infinite double to a NULL decimal, which a merge would
+#: skip, so a sum of 10^20 or more in magnitude, NaN and ±∞ included, raises.
+_EXACT_SUM = (
+    "cast(if(abs(sum(v)) >= 1e20, raise_error('SUM and AVG need finite sums below 1e20'), "
+    "sum(v)) AS decimal(38, 18)) AS _sum"
+)
 
 
 def _distributive(name: str, semantics: Semantics, merge: str | None = None) -> AggSpec:
@@ -81,7 +89,10 @@ def _distributive(name: str, semantics: Semantics, merge: str | None = None) -> 
 AGGREGATES: dict[str, AggSpec] = {
     "min": _distributive("min", Semantics.COVERED_BY),
     "max": _distributive("max", Semantics.COVERED_BY),
-    "sum": _distributive("sum", Semantics.PARTITIONED_BY, _ordered_sum("_sum")),
+    "sum": AggSpec(
+        "sum", Semantics.PARTITIONED_BY, ("_sum",), (_EXACT_SUM,), ("sum(_sum) AS _sum",),
+        "double(_sum)",
+    ),
     # COUNT is distributive but its merge function g is SUM (§3.1).
     "count": _distributive("count", Semantics.PARTITIONED_BY, "sum(_count) AS _count"),
     # AVG is algebraic: g = (sum, count), h = sum/count (§3.1).
@@ -89,9 +100,9 @@ AGGREGATES: dict[str, AggSpec] = {
         name="avg",
         semantics=Semantics.PARTITIONED_BY,
         state_cols=("_sum", "_count"),
-        partial=("sum(v) AS _sum", "count(v) AS _count"),
-        merge=(_ordered_sum("_sum"), "sum(_count) AS _count"),
-        final="_sum / _count",
+        partial=(_EXACT_SUM, "count(v) AS _count"),
+        merge=("sum(_sum) AS _sum", "sum(_count) AS _count"),
+        final="double(_sum) / _count",
     ),
 }
 

@@ -225,9 +225,7 @@ def algorithm4(
     return best
 
 
-def algorithm2(
-    windows: list[Window], agg: AggSpec, eta: int = 1, R: int | None = None
-) -> MinCostWCG:
+def algorithm2(windows: list[Window], agg: AggSpec, eta: int = 1) -> MinCostWCG:
     """Algorithm 2: min-cost WCG with factor windows allowed.
 
     Builds the augmented WCG (virtual root ``S⟨1,1⟩``), finds the best
@@ -248,7 +246,7 @@ def algorithm2(
     total most when Algorithm 1 reruns over the WCG of the plan's windows
     without it, until no removal lowers it.
     """
-    R = hyperperiod(windows) if R is None else R
+    R = hyperperiod(windows)
     g = augment_wcg(build_wcg(windows, agg.semantics))
     taken = set(g.windows)
     chosen: list[Window] = []
@@ -278,14 +276,9 @@ def algorithm2(
     return m
 
 
-def optimize(
-    windows: list[Window],
-    agg: AggSpec,
-    eta: int = 1,
-    R: int | None = None,
-) -> MinCostWCG:
+def optimize(windows: list[Window], agg: AggSpec, eta: int = 1) -> MinCostWCG:
     """§4.3: run Algorithms 1 and 2 and return whichever plan is cheaper
     (Algorithm 2 is a heuristic and can lose to Algorithm 1)."""
-    base = find_min_cost_wcg(windows, agg, eta, R)
-    with_f = algorithm2(windows, agg, eta, R)
+    base = find_min_cost_wcg(windows, agg, eta)
+    with_f = algorithm2(windows, agg, eta)
     return with_f if with_f.total < base.total else base

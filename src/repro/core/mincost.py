@@ -81,13 +81,13 @@ class MinCostWCG:
         )
 
 
-def minimize_over_graph(g: WCG, eta: int, R: int | None = None) -> MinCostWCG:
-    """Run Algorithm 1 lines 2–7 over an already-built WCG ``g``.
+def minimize_over_graph(g: WCG, eta: int, R: int) -> MinCostWCG:
+    """Run Algorithm 1 lines 2–7 over an already-built WCG ``g``, with
+    costs over the hyperperiod ``R`` of the query's windows.
 
     Separated from :func:`find_min_cost_wcg` so Algorithm 2 can reuse it
     on the factor-window-expanded graph (its line 6).
     """
-    R = hyperperiod(g.windows) if R is None else R
     parent: dict[Window, Window | None] = {}
     cost: dict[Window, int] = {}
     for w in g.windows:
@@ -129,14 +129,12 @@ def _prune_unused_factors(m: MinCostWCG) -> None:
             m.factors.discard(w)
 
 
-def find_min_cost_wcg(
-    windows: list[Window], agg: AggSpec, eta: int = 1, R: int | None = None
-) -> MinCostWCG:
+def find_min_cost_wcg(windows: list[Window], agg: AggSpec, eta: int = 1) -> MinCostWCG:
     """Algorithm 1: min-cost WCG for a query window set (no factor
     windows; the augmented root is *not* added here — Example 6/7 of the
     paper cost WCG-basic without it)."""
     g = build_wcg(windows, agg.semantics)
-    return minimize_over_graph(g, eta, R)
+    return minimize_over_graph(g, eta, hyperperiod(windows))
 
 
 def brute_force_min_cost(

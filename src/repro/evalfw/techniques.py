@@ -42,10 +42,6 @@ class TechniqueCosts:
     def __getitem__(self, technique: str) -> int:
         return self.costs[technique]
 
-    def ratio(self, a: str, b: str) -> float:
-        """cost(a) / cost(b) — >1 means ``a`` is more expensive."""
-        return self.costs[a] / self.costs[b]
-
 
 def evaluate_techniques(
     windows: list[Window], agg: AggSpec, eta: int

@@ -3,16 +3,17 @@ oracle and against each other: baseline vs rewritten (WCG) vs rewritten
 with factor windows (WCG-FW)."""
 import pandas as pd
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from py4j.protocol import Py4JJavaError
+from pyspark.errors import PySparkException
 
 from repro.core.aggregates import AGGREGATES, get_aggregate
 from repro.core.factor import algorithm2, optimize
 from repro.core.mincost import find_min_cost_wcg
 from repro.core.wcg import UNIT_WINDOW
 from repro.core.windows import Window
-from repro.engine.executor import execute_baseline, execute_wcg
+from repro.engine.executor import execute_baseline, execute_wcg, run_chain
 from repro.engine.oracle_sql import multi_window_sql
 from repro.engine.streams import event_stream, event_stream_pdf, lineitem_stream
 from repro.engine.window_agg import finalize, partial_window_agg, window_id
@@ -38,6 +39,15 @@ EDGE_ROWS = [
 @pytest.fixture(scope="module")
 def events(spark):
     df = event_stream(spark, horizon=HORIZON, eta=2, n_keys=3, seed=7)
+    df.persist().count()
+    yield df
+    df.unpersist()
+
+
+@pytest.fixture(scope="module")
+def dense_events(spark):
+    """Many events per root instance, so root sums round in double."""
+    df = event_stream(spark, horizon=480, eta=25, n_keys=4, seed=11)
     df.persist().count()
     yield df
     df.unpersist()
@@ -240,6 +250,78 @@ class TestExecutedPlansProperty:
         ):
             assert_equivalent(got, expected, events=events_pdf)
 
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(
+        ws=window_sets(n_max=4, s_max=8, k_max=4),
+        agg_name=st.sampled_from(["sum", "avg"]),
+        eta=st.sampled_from([1, 10, 100]),
+    )
+    @example(ws=EX7, agg_name="sum", eta=25)
+    @example(ws=EX7, agg_name="avg", eta=25)
+    def test_answers_depend_only_on_the_roots(self, spark, dense_events, ws, agg_name, eta):
+        # WCG-FW's forest and the same forest with every non-root reading
+        # its root ancestor merge the same root partials in different
+        # groupings: exact merges return the same bits.
+        agg = get_aggregate(agg_name)
+        m = optimize(ws, agg, eta=eta)
+        got = execute_wcg(dense_events, m, agg).output.collect()
+        flat = run_chain(dense_events, _flattened(m), set(m.exposed()), agg).output.collect()
+        assert sorted(map(repr, got)) == sorted(map(repr, flat))
+
+
+class TestSumDomain:
+    """SUM and AVG merge an exact ``decimal(38, 18)`` sum: every sum must
+    be finite and below 10^20 in magnitude, and one outside that raises in
+    BL and in a plan that merges alike. ``W(20,20)`` rolls up ``W(10,10)``."""
+
+    WINDOWS = [Window(10, 10), Window(20, 20)]
+
+    def _bl_and_wcg(self, spark, rows, agg_name):
+        ev = spark.createDataFrame(rows, "tick long, key long, v double")
+        agg = get_aggregate(agg_name)
+        m = find_min_cost_wcg(self.WINDOWS, agg)
+        assert m.parent[Window(20, 20)] == Window(10, 10)
+        return execute_baseline(ev, self.WINDOWS, agg), execute_wcg(ev, m, agg).output
+
+    @pytest.mark.parametrize("agg_name", ["sum", "avg"])
+    def test_sums_below_1e20_are_answered_alike(self, spark, agg_name):
+        rows = [(0, 0, 6e19), (12, 0, 3.5e19), (13, 0, 2.5e18)]
+        bl, wcg = (df.collect() for df in self._bl_and_wcg(spark, rows, agg_name))
+        assert sorted(map(repr, bl)) == sorted(map(repr, wcg))
+        total = {r.window_id: r.value for r in bl if r.win_start == 0}["20/20"]
+        assert total == (9.75e19 if agg_name == "sum" else 9.75e19 / 3)
+
+    @pytest.mark.parametrize("agg_name", ["sum", "avg"])
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [(0, 0, 6e19), (12, 0, 6e19)],
+            [(t, 0, float("nan") if t == 5 else 1.0) for t in range(20)],
+            [(t, 0, float("-inf") if t == 15 else 1.0) for t in range(20)],
+        ],
+        ids=["1.2e20", "nan", "-inf"],
+    )
+    def test_sums_outside_the_domain_raise_in_bl_and_wcg(self, spark, rows, agg_name):
+        # 1.2e20: BL's root [0, 20) and WCG's merge of [0, 10) and
+        # [10, 20) both reach it. A NaN or an infinity raises at every root
+        # instance that holds it: cast to the decimal state it would be
+        # NULL, which a merge skips, so [0, 20) would differ by plan.
+        raised = "finite sums below 1e20|ARITHMETIC_OVERFLOW"
+        for df in self._bl_and_wcg(spark, rows, agg_name):
+            with pytest.raises(PySparkException, match=raised):
+                df.collect()
+
+
+def _flattened(m) -> dict:
+    """``m``'s forest with every non-root reading its root ancestor;
+    factor windows left without children are dropped."""
+    def root(w):
+        return w if m.parent[w] is None else root(m.parent[w])
+
+    parent = {w: None if m.parent[w] is None else root(w) for w in m.windows}
+    used = set(parent.values())
+    return {w: p for w, p in parent.items() if w not in m.factors or w in used}
+
 
 def _shuffle_write_records(spark, group: str) -> list[int]:
     """Records written by each shuffle the job group ran; a reused or
@@ -342,13 +424,25 @@ class TestPlanShape:
     def test_assignment_has_no_lambda(self, spark, events, plan, windows):
         # A higher-order lambda (transform(…, x -> …)) is interpreted row
         # by row: building the codes with one made BL on the HOP chain
-        # about 1.5× slower. Only the merges (the ordered SUM fold) may
-        # use one, and they sit in the aggregates, not in Generate.
+        # about 1.5× slower.
         agg = get_aggregate("sum" if windows is EX7 else "min")
         df, _ = _plan(events, plan, windows, agg)
         generates = [line for line in _final_plan(df) if "Generate " in line]
         assert generates
         assert not [g for g in generates if "lambdafunction" in g.lower()]
+
+    @pytest.mark.parametrize("agg_name", sorted(AGGREGATES))
+    @pytest.mark.parametrize("plan", ["bl", "wcg", "wcg_fw", "sp"])
+    def test_merges_are_code_generated(self, spark, events, plan, agg_name):
+        # Every aggregate of every plan is a code-generated HashAggregate:
+        # an ObjectHashAggregate (e.g. over collect_list) runs outside
+        # whole-stage code generation, and a lambda is interpreted.
+        df, _ = _plan(events, plan, EX7, get_aggregate(agg_name))
+        df.collect()
+        lines = _final_plan(df)
+        assert [line for line in lines if "HashAggregate" in line]
+        assert not [line for line in lines if "ObjectHashAggregate" in line]
+        assert not [line for line in lines if "lambdafunction" in line.lower()]
 
     @pytest.mark.parametrize("plan", ["bl", "wcg", "wcg_fw", "sp"])
     def test_plan_is_one_statement_and_leaves_no_view(self, spark, events, monkeypatch, plan):
