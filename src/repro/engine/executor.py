@@ -13,12 +13,13 @@ windows forward under their own code: a group of one merges to itself,
 so this level is §3.3's MultiCast, with nothing persisted or unioned.
 A factor window's rows drop out after its children's level, and one
 projection decodes the last level. Rows partitioned by key need no
-further exchange (EXPERIMENTS.md §5 weighs the one shuffle).
+further exchange (EXPERIMENTS.md §5 weighs the one shuffle). The same
+levels meter the plan: :meth:`ExecutionResult.pairs` counts each node's
+assignment pairs at its own level, in a second statement.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Hashable, Mapping
 
 from pyspark.sql import DataFrame
@@ -26,20 +27,19 @@ from pyspark.sql import DataFrame
 from repro.core.aggregates import AggSpec
 from repro.core.mincost import MinCostWCG
 from repro.core.windows import Window
-from repro.engine.window_agg import aggregate, codes, concat, decode, query, roots, window_id
+from repro.engine.window_agg import aggregate, codes, concat, query, roots, window_id
 
 
 @dataclass
 class ExecutionResult:
-    """The plan's output, and its nodes' partial states built on demand."""
+    """The plan's output, and ``pairs(horizon)``, the metering count of
+    the chain that ran it, in one statement: a row ``(window_id, pairs)``
+    per node with pairs, its (input row, instance) assignments at its own
+    level over its instances that end by ``horizon``. A slice set has no
+    ``r/s``: its ``window_id`` is ``''``."""
 
     output: DataFrame
-    _partials: Callable[[], dict[Hashable, DataFrame]]
-
-    @cached_property
-    def partials(self) -> dict[Hashable, DataFrame]:
-        """Each node's states ``(win_start, win_end, key, *state)`` at its level."""
-        return self._partials()
+    pairs: Callable[[int], DataFrame]
 
     def unpersist(self) -> None:
         """Nothing to release: a chain persists nothing."""
@@ -87,10 +87,29 @@ def run_chain(
         f"{u} + element_at(array({ranges}), {at}) AS win_end, key, {agg.final} AS value "
         f"FROM ({level(t, len(assigns) - 1)})"
     ))
-    return ExecutionResult(output, lambda: {
-        n: query(events, lambda t: decode(f"({level(t, depth[n])})", i, k, end[n], agg.state_cols))
-        for i, n in enumerate(nodes)
-    })
+    ends = " ".join(f"WHEN {i} THEN {end[n]}" for i, n in enumerate(nodes))
+    names = ", ".join(f"'{window_id(n)}'" if isinstance(n, Window) else "''" for n in nodes)
+
+    def counts(t: str, horizon: int) -> str:
+        """SQL of ``(_i, pairs)``: level ``d`` explodes its assignment over
+        the rows below it and counts the codes of the nodes at depth
+        ``d``; a carried row keeps its own, earlier, node's code."""
+        per_level = []
+        for d, assign in enumerate(assigns):
+            rows = f"({level(t, d - 1)})" if d else f"{t} WHERE tick >= 0"
+            own = ", ".join(str(i) for i, n in enumerate(nodes) if depth[n] == d)
+            per_level.append(
+                f"SELECT pmod(_c, {k}) AS _i, count(*) AS pairs "
+                f"FROM (SELECT explode({assign}) AS _c FROM {rows}) "
+                f"WHERE pmod(_c, {k}) IN ({own}) AND CASE pmod(_c, {k}) {ends} END <= {horizon} "
+                "GROUP BY 1"
+            )
+        return " UNION ALL ".join(per_level)
+
+    return ExecutionResult(output, lambda horizon: query(events, lambda t: (
+        f"SELECT element_at(array({names}), int(_i) + 1) AS window_id, pairs "
+        f"FROM ({counts(t, horizon)})"
+    )))
 
 
 def execute_wcg(events: DataFrame, mincost: MinCostWCG, agg: AggSpec) -> ExecutionResult:

@@ -18,9 +18,9 @@ from repro.engine.oracle_sql import multi_window_sql
 from repro.engine.streams import event_stream, event_stream_pdf, lineitem_stream
 from repro.engine.window_agg import finalize, partial_window_agg, window_id
 from repro.engine.rollup import rollup
-from repro.engine.sliced_exec import slice_partials, sliced_window_agg
+from repro.engine.sliced_exec import Slices, slice_partials, sliced_window_agg
 from repro.oracle import assert_equivalent
-from repro.slicing.compose import composed_edges
+from repro.slicing.compose import composed_edges, edge_classes
 from repro.workloads.generators import chain_gen, star_gen
 from tests.window_sets import window_sets
 
@@ -191,16 +191,21 @@ class TestRewrittenPlans:
         agg = get_aggregate(agg_name)
         if stream == "edges":
             events = spark.createDataFrame(EDGE_ROWS, "tick long, key long, v double")
+        # Each is compared with the chain of its ancestor path, in which
+        # it is the leaf and nothing is carried.
         m = find_min_cost_wcg(EX6, agg, eta=1)
         last = max(_depth(m, w) for w in m.windows)
         carried = [w for w in m.exposed() if _depth(m, w) < last]
         assert carried
-        res = execute_wcg(events, m, agg)
+        out = execute_wcg(events, m, agg).output
         for w in carried:
-            own = finalize(res.partials[w], w, agg).collect()
-            out = res.output.where(f"window_id = '{window_id(w)}'").collect()
+            path, a = {}, w
+            while a is not None:
+                path[a], a = m.parent[a], m.parent[a]
+            own = run_chain(events, path, {w}, agg).output.collect()
+            got = out.where(f"window_id = '{window_id(w)}'").collect()
             assert own
-            assert sorted(map(repr, out)) == sorted(map(repr, own)), w
+            assert sorted(map(repr, got)) == sorted(map(repr, own)), w
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("agg_name", ["min", "sum"])
@@ -357,6 +362,18 @@ def _plan(events, plan: str, windows, agg):
     return execute_wcg(events, m, agg).output, 1 + max(_depth(m, w) for w in m.windows)
 
 
+def _chain(events, plan: str, windows, agg):
+    """The :func:`run_chain` result of one plan's forest: BL's with no
+    edges, SP's rooted at its slice set, or the optimizer's."""
+    if plan == "bl":
+        return run_chain(events, dict.fromkeys(windows), set(windows), agg)
+    if plan == "sp":
+        s = Slices(edge_classes(windows, "paired"))
+        return run_chain(events, {s: None, **dict.fromkeys(windows, s)}, set(windows), agg)
+    m = (find_min_cost_wcg if plan == "wcg" else optimize)(windows, agg, eta=1)
+    return execute_wcg(events, m, agg)
+
+
 def _final_plan(df) -> list[str]:
     """The lines of ``df``'s executed physical plan (the final one, once
     adaptive execution has run it)."""
@@ -444,15 +461,20 @@ class TestPlanShape:
         assert not [line for line in lines if "ObjectHashAggregate" in line]
         assert not [line for line in lines if "lambdafunction" in line.lower()]
 
-    @pytest.mark.parametrize("plan", ["bl", "wcg", "wcg_fw", "sp"])
+    @pytest.mark.parametrize(
+        "plan", ["bl", "wcg", "wcg_fw", "sp", "bl-pairs", "wcg-pairs", "wcg_fw-pairs", "sp-pairs"]
+    )
     def test_plan_is_one_statement_and_leaves_no_view(self, spark, events, monkeypatch, plan):
-        # Each plan is analysed once, and the temp view that binds the
-        # events to the statement is gone once it is.
+        # Each plan, and each chain's metering count, is analysed once,
+        # and the temp view that binds the events to the statement is
+        # gone once it is.
         views = spark.catalog.listTables()
+        plan, _, pairs = plan.partition("-")
+        res = _chain(events, plan, HOP, get_aggregate("min")) if pairs else None
         calls = []
         sql = type(spark).sql
         monkeypatch.setattr(type(spark), "sql", lambda *a, **kw: calls.append(a) or sql(*a, **kw))
-        df, _ = _plan(events, plan, HOP, get_aggregate("min"))
+        df = res.pairs(HORIZON) if pairs else _plan(events, plan, HOP, get_aggregate("min"))[0]
         assert len(calls) == 1
         df.collect()
         assert spark.catalog.listTables() == views
