@@ -4,7 +4,7 @@
 (``execute_baseline``) is the forest with no edges, and shared paired
 slicing (:mod:`repro.engine.sliced_exec`) the forest rooted at its slice
 set. :func:`run_chain` compiles the forest into one SQL statement: it
-shuffles the events by key once, then runs one level of the assignment
+lays the events out once, then runs one level of the assignment
 operator (:mod:`repro.engine.window_agg`) per depth of the forest, each
 a subquery over the rows of every window at that depth.
 Level ``L`` routes each row of level ``L − 1`` to its window's children
@@ -12,8 +12,11 @@ Level ``L`` routes each row of level ``L − 1`` to its window's children
 windows forward under their own code: a group of one merges to itself,
 so this level is §3.3's MultiCast, with nothing persisted or unioned.
 A factor window's rows drop out after its children's level, and one
-projection decodes the last level. Rows partitioned by key need no
-further exchange (EXPERIMENTS.md §5 weighs the one shuffle). The same
+projection decodes the last level. The events are read as one
+partition when the root level fits one task (:func:`_fits_one_task`), so
+the chain runs as one task with no exchange, and are shuffled by key
+once otherwise; either way no level's ``GROUP BY _c, key`` needs a
+further exchange (EXPERIMENTS.md §5 weighs both layouts). The same
 levels meter the plan: :meth:`ExecutionResult.pairs` counts each node's
 assignment pairs at its own level, in a second statement.
 """
@@ -45,6 +48,19 @@ class ExecutionResult:
         """Nothing to release: a chain persists nothing."""
 
 
+def _fits_one_task(events: DataFrame, pairs_per_event: float) -> bool:
+    """Whether the root level fits one task: Catalyst's estimate of the
+    size of ``events`` times the root level's ``pairs_per_event`` is
+    within Spark's target bytes per task. An input with no estimate
+    reports ``spark.sql.defaultSizeInBytes``, so it does not fit."""
+    spark = events.sparkSession
+    size = events._jdf.queryExecution().optimizedPlan().stats().sizeInBytes()
+    target = spark._jvm.org.apache.spark.network.util.JavaUtils.byteStringAsBytes(
+        spark.conf.get("spark.sql.adaptive.advisoryPartitionSizeInBytes")
+    )
+    return size * pairs_per_event <= target
+
+
 def run_chain(
     events: DataFrame, parent: Mapping[Hashable, Hashable | None], exposed: set[Window],
     agg: AggSpec,
@@ -71,10 +87,13 @@ def run_chain(
             for i, p in enumerate(nodes) if depth[p] == d - 1 and p in parent.values()
         )
         assigns.append(f"CASE pmod(_c, {k}) {routes} ELSE array(_c) END")
+    # The model's root cost per event: r/s pairs per root window, one per slice set.
+    per_event = sum(n.r / n.s if isinstance(n, Window) else 1 for n in nodes if parent[n] is None)
+    hint = "COALESCE(1)" if _fits_one_task(events, per_event) else "REPARTITION(key)"
 
     def level(t: str, d: int) -> str:
         """SQL of level ``d`` of the chain over the events table ``t``."""
-        sql = roots(t, assigns[0], agg, shuffle=True)
+        sql = roots(t, assigns[0], agg, hint=hint)
         for assign in assigns[1 : d + 1]:
             sql = aggregate(f"({sql})", assign, agg.merge, agg.state_cols)
         return sql

@@ -74,7 +74,7 @@ def slice_partials(events: DataFrame, edges: list[int], agg: AggSpec) -> DataFra
     the sorted ``edges`` repeating every ``edges[-1]`` ticks."""
     s = Slices([(e % edges[-1], edges[-1]) for e in edges])
     return query(events, lambda t: decode(
-        f"({roots(t, s.codes(0, 1, 'tick'), agg, shuffle=True)})", 0, 1, s.end("_c"),
+        f"({roots(t, s.codes(0, 1, 'tick'), agg, hint='REPARTITION(key)')})", 0, 1, s.end("_c"),
         agg.state_cols,
     ))
 

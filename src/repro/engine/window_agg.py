@@ -84,12 +84,14 @@ def aggregate(source: str, assign: str, exprs: Sequence[str], cols: Sequence[str
     return f"SELECT _c, key, {', '.join(exprs)} FROM ({assigned}) GROUP BY _c, key"
 
 
-def roots(events: str, assign: str, agg: AggSpec, *, shuffle: bool = False) -> str:
+def roots(events: str, assign: str, agg: AggSpec, *, hint: str | None = None) -> str:
     """SQL of :func:`aggregate` of the table ``events`` at ``tick ≥ 0``
-    (events before 0 belong to no instance) into partial states;
-    ``shuffle`` repartitions the events by key first."""
-    if shuffle:
-        events = f"(SELECT /*+ REPARTITION(key) */ * FROM {events})"
+    (events before 0 belong to no instance) into partial states; the
+    events are read through the partitioning ``hint`` first, if any:
+    ``REPARTITION(key)`` shuffles them by key, ``COALESCE(1)`` reads them
+    as one partition. Either satisfies every ``GROUP BY _c, key`` above."""
+    if hint:
+        events = f"(SELECT /*+ {hint} */ * FROM {events})"
     return aggregate(f"{events} WHERE tick >= 0", assign, agg.partial, ("v",))
 
 

@@ -1,6 +1,8 @@
 """End-to-end correctness of executed plans on Spark, against the DuckDB
 oracle and against each other: baseline vs rewritten (WCG) vs rewritten
 with factor windows (WCG-FW)."""
+from contextlib import contextmanager
+
 import pandas as pd
 import pytest
 from hypothesis import example, given, settings
@@ -28,6 +30,7 @@ EX6 = [Window(x, x) for x in (10, 20, 30, 40)]
 EX7 = [Window(x, x) for x in (20, 30, 40)]
 HOP = [Window(60, 10), Window(120, 10), Window(240, 10), Window(480, 10)]
 HORIZON = 120
+ADVISORY = "spark.sql.adaptive.advisoryPartitionSizeInBytes"
 # One key; null values, one instance with only nulls; events before 0
 # (in no instance) and far past the steady ticks.
 EDGE_ROWS = [
@@ -274,6 +277,30 @@ class TestExecutedPlansProperty:
         assert sorted(map(repr, got)) == sorted(map(repr, flat))
 
 
+class TestShuffleLayout:
+    """Every test input here fits one task, so the plans above run with no
+    exchange. These run BL, WCG, WCG-FW and SP over the key shuffle too,
+    with Spark's target bytes per task lowered below their root level's."""
+
+    @pytest.mark.parametrize("windows", [EX7, HOP], ids=["ex7", "hop"])
+    @pytest.mark.parametrize("plan", ["bl", "wcg", "wcg_fw", "sp"])
+    def test_plans_equal_the_oracle_over_the_key_shuffle(
+        self, spark, events, events_pdf, plan, windows
+    ):
+        conf = (spark.conf.getAll.get(ADVISORY), spark.conf.get(ADVISORY))
+        for agg_name in sorted(AGGREGATES):
+            agg = get_aggregate(agg_name)
+            one_task = _chain(events, plan, windows, agg)
+            with _advisory(spark, "1b"):
+                shuffled = _chain(events, plan, windows, agg)
+            assert (_key_shuffles(one_task.output), _key_shuffles(shuffled.output)) == (0, 1)
+            expected = multi_window_sql(windows, agg, HORIZON)
+            assert_equivalent(shuffled.output, expected, events=events_pdf)
+            pairs = [sorted(r.pairs(HORIZON).collect()) for r in (one_task, shuffled)]
+            assert pairs[0] == pairs[1]
+        assert (spark.conf.getAll.get(ADVISORY), spark.conf.get(ADVISORY)) == conf
+
+
 class TestSumDomain:
     """SUM and AVG merge an exact ``decimal(38, 18)`` sum: every sum must
     be finite and below 10^20 in magnitude, and one outside that raises in
@@ -381,25 +408,66 @@ def _final_plan(df) -> list[str]:
     return text.split("== Initial Plan ==")[0].splitlines()
 
 
-def _assert_one_shuffle_no_cache(spark, events, df, levels: int, group: str) -> None:
-    """Collecting ``df`` shuffles every event once and nothing else,
-    caches no RDD, and runs one aggregate per level of its forest."""
-    jsc = spark.sparkContext._jsc.sc()
-    cached_before = {i.id() for i in jsc.getRDDStorageInfo()}
+@contextmanager
+def _advisory(spark, size: str):
+    """Spark's target bytes per task set to ``size`` inside the block, and
+    the session's own setting (or its default) restored after it."""
+    was = spark.conf.getAll.get(ADVISORY)
+    spark.conf.set(ADVISORY, size)
+    try:
+        yield
+    finally:
+        if was is None:
+            spark.conf.unset(ADVISORY)
+        else:
+            spark.conf.set(ADVISORY, was)
+
+
+def _key_shuffles(df) -> int:
+    """The exchanges by key in ``df``'s executed plan."""
+    return sum("Exchange hashpartitioning(key" in line for line in _final_plan(df))
+
+
+def _collect_in_group(spark, df, group: str) -> None:
     spark.sparkContext.setJobGroup(group, group)
     try:
         df.collect()
     finally:
         spark.sparkContext.setLocalProperty("spark.jobGroup.id", None)
-    assert _shuffle_write_records(spark, group) == [events.count()]
+
+
+def _assert_layouts(spark, events, build, levels: int, group: str) -> None:
+    """The plan that ``build()`` returns, collected in the default session,
+    runs one Spark job that shuffles nothing; built with Spark's target
+    bytes per task lowered below its root level's, it shuffles every
+    event once and nothing else. Neither caches an RDD, and each runs one
+    aggregate per level of its forest."""
+    jsc = spark.sparkContext._jsc.sc()
+    cached_before = {i.id() for i in jsc.getRDDStorageInfo()}
+    df = build()
+    _collect_in_group(spark, df, f"{group}-one-task")
+    assert _shuffle_write_records(spark, f"{group}-one-task") == []
+    assert len(spark.sparkContext.statusTracker().getJobIdsForGroup(f"{group}-one-task")) == 1
+    assert _key_shuffles(df) == 0
+    outputs = [_final_aggregates(df)]
+    with _advisory(spark, "1b"):
+        df = build()
+    _collect_in_group(spark, df, f"{group}-shuffle")
+    assert _shuffle_write_records(spark, f"{group}-shuffle") == [events.count()]
+    assert _key_shuffles(df) == 1
+    outputs.append(_final_aggregates(df))
     assert {i.id() for i in jsc.getRDDStorageInfo()} <= cached_before
-    # Each groupBy plans a partial and a final aggregate with no
-    # exchange between them; count the final ones.
-    aggregates = [
+    for aggregates in outputs:
+        assert len(aggregates) == levels, "\n".join(aggregates)
+
+
+def _final_aggregates(df) -> list[str]:
+    """Each groupBy plans a partial and a final aggregate with no exchange
+    between them: the final ones."""
+    return [
         line for line in _final_plan(df)
         if "Aggregate(keys=" in line and "functions=[partial_" not in line
     ]
-    assert len(aggregates) == levels, "\n".join(aggregates)
 
 
 class TestPlanShape:
@@ -407,8 +475,10 @@ class TestPlanShape:
         agg = get_aggregate("sum")
         m = optimize(EX7, agg, eta=1)
         assert m.factors and any(len(m.children(w)) > 1 for w in m.windows)
-        df, levels = _plan(events, "wcg_fw", EX7, agg)
-        _assert_one_shuffle_no_cache(spark, events, df, levels, "ex7-plan-shape")
+        _, levels = _plan(events, "wcg_fw", EX7, agg)
+        _assert_layouts(
+            spark, events, lambda: _plan(events, "wcg_fw", EX7, agg)[0], levels, "ex7-plan-shape"
+        )
 
     def test_example7_at_eta_25_runs_no_unit_root_level(self, spark, events):
         # The benchmark's tumbling_sum plan: W(10,10) from raw, then
@@ -417,12 +487,16 @@ class TestPlanShape:
         m = optimize(EX7, agg, eta=25)
         assert UNIT_WINDOW not in m.windows
         assert 1 + max(_depth(m, w) for w in m.windows) == 3
-        df = execute_wcg(events, m, agg).output
-        _assert_one_shuffle_no_cache(spark, events, df, 3, "ex7-eta25-plan-shape")
+        _assert_layouts(
+            spark, events, lambda: execute_wcg(events, m, agg).output, 3, "ex7-eta25-plan-shape"
+        )
 
     def test_shared_paired_slicing_shuffles_events_once(self, spark, events):
-        df, levels = _plan(events, "sp", EX7, get_aggregate("sum"))
-        _assert_one_shuffle_no_cache(spark, events, df, levels, "sp-plan-shape")
+        agg = get_aggregate("sum")
+        _, levels = _plan(events, "sp", EX7, agg)
+        _assert_layouts(
+            spark, events, lambda: _plan(events, "sp", EX7, agg)[0], levels, "sp-plan-shape"
+        )
 
     @pytest.mark.parametrize(
         "plan, windows, agg_name",
@@ -433,8 +507,34 @@ class TestPlanShape:
     def test_plan_shuffles_events_once_per_level_aggregate(
         self, spark, events, request, plan, windows, agg_name
     ):
-        df, levels = _plan(events, plan, windows, get_aggregate(agg_name))
-        _assert_one_shuffle_no_cache(spark, events, df, levels, request.node.name)
+        agg = get_aggregate(agg_name)
+        _, levels = _plan(events, plan, windows, agg)
+        _assert_layouts(
+            spark, events, lambda: _plan(events, plan, windows, agg)[0], levels, request.node.name
+        )
+
+    def test_layout_follows_the_root_levels_bytes(self, spark, events):
+        # HOP's BL assigns each event to Σ r/s = 90 root instances; its
+        # WCG-FW roots far fewer. A target between the two root levels'
+        # bytes keeps BL's exchange and runs WCG-FW as one task.
+        agg = get_aggregate("min")
+        fw_pairs = sum(w.r / w.s for w in optimize(HOP, agg, eta=1).roots())
+        assert fw_pairs < 45
+        size = events._jdf.queryExecution().optimizedPlan().stats().sizeInBytes()
+        with _advisory(spark, f"{size * 45}b"):
+            bl, _ = _plan(events, "bl", HOP, agg)
+            fw, _ = _plan(events, "wcg_fw", HOP, agg)
+        assert _key_shuffles(bl) == 1
+        assert _key_shuffles(fw) == 0
+
+    def test_input_with_no_size_estimate_keeps_the_exchange(self, spark):
+        ev = spark.createDataFrame(
+            spark.sparkContext.parallelize(EDGE_ROWS), "tick long, key long, v double"
+        )
+        default = spark._jsparkSession.sessionState().conf().defaultSizeInBytes()
+        assert ev._jdf.queryExecution().optimizedPlan().stats().sizeInBytes() == default
+        df, _ = _plan(ev, "wcg_fw", EX7, get_aggregate("sum"))
+        assert _key_shuffles(df) == 1
 
     @pytest.mark.parametrize("windows", [EX7, HOP], ids=["ex7", "hop"])
     @pytest.mark.parametrize("plan", ["bl", "wcg", "wcg_fw", "sp"])
