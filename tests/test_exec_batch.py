@@ -436,22 +436,22 @@ def _collect_in_group(spark, df, group: str) -> None:
         spark.sparkContext.setLocalProperty("spark.jobGroup.id", None)
 
 
-def _assert_layouts(spark, events, build, levels: int, group: str) -> None:
-    """The plan that ``build()`` returns, collected in the default session,
-    runs one Spark job that shuffles nothing; built with Spark's target
-    bytes per task lowered below its root level's, it shuffles every
-    event once and nothing else. Neither caches an RDD, and each runs one
-    aggregate per level of its forest."""
+def _assert_layouts(spark, events, build, group: str) -> None:
+    """The plan that ``build()`` returns with the number of its forest's
+    levels, collected in the default session, runs one Spark job that
+    shuffles nothing; built with Spark's target bytes per task lowered
+    below its root level's, it shuffles every event once and nothing
+    else. Neither caches an RDD, and each runs one aggregate per level."""
     jsc = spark.sparkContext._jsc.sc()
     cached_before = {i.id() for i in jsc.getRDDStorageInfo()}
-    df = build()
+    df, levels = build()
     _collect_in_group(spark, df, f"{group}-one-task")
     assert _shuffle_write_records(spark, f"{group}-one-task") == []
     assert len(spark.sparkContext.statusTracker().getJobIdsForGroup(f"{group}-one-task")) == 1
     assert _key_shuffles(df) == 0
     outputs = [_final_aggregates(df)]
     with _advisory(spark, "1b"):
-        df = build()
+        df, _ = build()
     _collect_in_group(spark, df, f"{group}-shuffle")
     assert _shuffle_write_records(spark, f"{group}-shuffle") == [events.count()]
     assert _key_shuffles(df) == 1
@@ -475,10 +475,7 @@ class TestPlanShape:
         agg = get_aggregate("sum")
         m = optimize(EX7, agg, eta=1)
         assert m.factors and any(len(m.children(w)) > 1 for w in m.windows)
-        _, levels = _plan(events, "wcg_fw", EX7, agg)
-        _assert_layouts(
-            spark, events, lambda: _plan(events, "wcg_fw", EX7, agg)[0], levels, "ex7-plan-shape"
-        )
+        _assert_layouts(spark, events, lambda: _plan(events, "wcg_fw", EX7, agg), "ex7-plan-shape")
 
     def test_example7_at_eta_25_runs_no_unit_root_level(self, spark, events):
         # The benchmark's tumbling_sum plan: W(10,10) from raw, then
@@ -488,15 +485,12 @@ class TestPlanShape:
         assert UNIT_WINDOW not in m.windows
         assert 1 + max(_depth(m, w) for w in m.windows) == 3
         _assert_layouts(
-            spark, events, lambda: execute_wcg(events, m, agg).output, 3, "ex7-eta25-plan-shape"
+            spark, events, lambda: (execute_wcg(events, m, agg).output, 3), "ex7-eta25-plan-shape"
         )
 
     def test_shared_paired_slicing_shuffles_events_once(self, spark, events):
         agg = get_aggregate("sum")
-        _, levels = _plan(events, "sp", EX7, agg)
-        _assert_layouts(
-            spark, events, lambda: _plan(events, "sp", EX7, agg)[0], levels, "sp-plan-shape"
-        )
+        _assert_layouts(spark, events, lambda: _plan(events, "sp", EX7, agg), "sp-plan-shape")
 
     @pytest.mark.parametrize(
         "plan, windows, agg_name",
@@ -508,10 +502,7 @@ class TestPlanShape:
         self, spark, events, request, plan, windows, agg_name
     ):
         agg = get_aggregate(agg_name)
-        _, levels = _plan(events, plan, windows, agg)
-        _assert_layouts(
-            spark, events, lambda: _plan(events, plan, windows, agg)[0], levels, request.node.name
-        )
+        _assert_layouts(spark, events, lambda: _plan(events, plan, windows, agg), request.node.name)
 
     def test_layout_follows_the_root_levels_bytes(self, spark, events):
         # HOP's BL assigns each event to Σ r/s = 90 root instances; its
