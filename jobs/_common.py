@@ -14,6 +14,13 @@ SESSION_DEFAULTS = {
     "spark.sql.shuffle.partitions": "64",
     "spark.sql.execution.arrow.pyspark.enabled": "true",
     "spark.sql.autoBroadcastJoinThreshold": "-1",
+    # Build every pandas input as a scan over Arrow record batches, one
+    # partition per batch, never as an inline LocalRelation. Under the
+    # default 48 MB threshold, every statement's analysed plan carried the
+    # input's rows (walking them cost a warm query on 60,000 events about
+    # 15 ms of optimization) and every task Java-serialised them from
+    # their ParallelCollectionPartitions, cache or no cache.
+    "spark.sql.execution.arrow.localRelationThreshold": "0",
     # Let AQE coalesce the shuffles of persisted plans (partials that a
     # caller caches, as the benchmark's per-window metering does) like any
     # other; by default a cached plan keeps every one of its shuffle

@@ -41,6 +41,19 @@ class Window:
             raise TypeError(f"range/slide must be ints, got {self.r!r}, {self.s!r}")
         if not 0 < self.s <= self.r:
             raise ValueError(f"need 0 < s <= r, got r={self.r}, s={self.s}")
+        object.__setattr__(self, "_hash", hash((self.r, self.s)))
+
+    # The optimizer's most frequent calls, so written by hand with the
+    # hash computed once: the generated pair builds tuples on every call.
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Window:
+            return NotImplemented
+        return self.r == other.r and self.s == other.s
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def is_tumbling(self) -> bool:

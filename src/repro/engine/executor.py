@@ -51,7 +51,9 @@ class ExecutionResult:
 def _fits_one_task(events: DataFrame, pairs_per_event: float) -> bool:
     """Whether the root level fits one task: Catalyst's estimate of the
     size of ``events`` times the root level's ``pairs_per_event`` is
-    within Spark's target bytes per task. An input with no estimate
+    within Spark's target bytes per task. An input is sized exactly only
+    once it is persisted and materialised; any other input, whether built
+    from a list, an RDD or a pandas frame (a scan over Arrow batches),
     reports ``spark.sql.defaultSizeInBytes``, so it does not fit."""
     spark = events.sparkSession
     size = events._jdf.queryExecution().optimizedPlan().stats().sizeInBytes()

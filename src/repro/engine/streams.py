@@ -49,7 +49,9 @@ def event_stream(
 
     Columns: ``tick`` (long, event time in integer units), ``ts``
     (timestamp, ``tick`` seconds after the epoch), ``key`` (long),
-    ``v`` (double).
+    ``v`` (double). Under the session defaults it is a scan over Arrow
+    record batches, one partition per 10,000 rows, that carries no size
+    estimate until the caller persists and materialises it.
     """
     return spark.createDataFrame(
         event_stream_pdf(horizon=horizon, eta=eta, n_keys=n_keys, seed=seed)

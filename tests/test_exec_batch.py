@@ -23,6 +23,7 @@ from repro.engine.rollup import rollup
 from repro.engine.sliced_exec import Slices, slice_partials, sliced_window_agg
 from repro.oracle import assert_equivalent
 from repro.slicing.compose import composed_edges, edge_classes
+from repro.synth_data import lineitem
 from repro.workloads.generators import chain_gen, star_gen
 from tests.window_sets import window_sets
 
@@ -518,10 +519,16 @@ class TestPlanShape:
         assert _key_shuffles(bl) == 1
         assert _key_shuffles(fw) == 0
 
-    def test_input_with_no_size_estimate_keeps_the_exchange(self, spark):
-        ev = spark.createDataFrame(
-            spark.sparkContext.parallelize(EDGE_ROWS), "tick long, key long, v double"
-        )
+    @pytest.mark.parametrize("source", ["rdd", "pandas"])
+    def test_input_with_no_size_estimate_keeps_the_exchange(self, spark, source):
+        # Only a persisted, materialised input is sized exactly: an RDD and
+        # an unpersisted pandas input (a scan over Arrow batches) are not.
+        if source == "rdd":
+            ev = spark.createDataFrame(
+                spark.sparkContext.parallelize(EDGE_ROWS), "tick long, key long, v double"
+            )
+        else:
+            ev = event_stream(spark, horizon=HORIZON, eta=2, n_keys=3, seed=7)
         default = spark._jsparkSession.sessionState().conf().defaultSizeInBytes()
         assert ev._jdf.queryExecution().optimizedPlan().stats().sizeInBytes() == default
         df, _ = _plan(ev, "wcg_fw", EX7, get_aggregate("sum"))
@@ -605,6 +612,28 @@ class TestPlanShape:
             assert "InMemoryTableScan" in scan
         finally:
             ev.unpersist()
+
+
+def _holds_rows_inline(df) -> bool:
+    """Whether ``df``'s analysed plan carries an input's rows in a
+    ``LocalRelation`` node."""
+    return "LocalRelation" in df._jdf.queryExecution().analyzed().toString()
+
+
+class TestInputForm:
+    """Under the session defaults a pandas input is a scan over Arrow
+    batches, so no statement's plan carries its rows. The persisted
+    ``events`` fixture still takes the one-task layout: every
+    ``_assert_layouts`` test checks it."""
+
+    def test_pandas_inputs_hold_no_rows_inline(self, spark):
+        assert not _holds_rows_inline(event_stream(spark, horizon=60, eta=2, n_keys=2, seed=3))
+        assert not _holds_rows_inline(lineitem(spark, sf=0.002))
+
+    @pytest.mark.parametrize("plan", ["bl", "wcg_fw", "sp"])
+    def test_plans_over_the_persisted_input_hold_no_rows_inline(self, spark, events, plan):
+        df, _ = _plan(events, plan, EX7, get_aggregate("sum"))
+        assert not _holds_rows_inline(df)
 
 
 class TestLineitemStream:

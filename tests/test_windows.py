@@ -1,6 +1,8 @@
 """Window algebra: Theorems 1–4 validated against brute-force interval
 enumeration, plus the partial-order laws."""
+import dataclasses
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -53,6 +55,18 @@ class TestWindowBasics:
     def test_rejects_non_int(self):
         with pytest.raises(TypeError):
             Window(5.0, 1)
+
+    def test_equality_hash_and_order_follow_range_then_slide(self):
+        for w1 in GRID:
+            w2 = pickle.loads(pickle.dumps(w1))
+            assert w2 is not w1 and w2 == w1 and hash(w2) == hash(w1)
+            for w3 in GRID:
+                eq = (w1.r, w1.s) == (w3.r, w3.s)
+                assert (w1 == w3) is eq and (w1 != w3) is not eq
+                assert (w1 < w3) == ((w1.r, w1.s) < (w3.r, w3.s))
+        assert Window(10, 5) != (10, 5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            Window(10, 5).r = 20
 
     def test_tumbling(self):
         assert Window(10, 10).is_tumbling
