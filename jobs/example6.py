@@ -30,7 +30,6 @@ def run(spark: SparkSession) -> None:
     res = execute_wcg(ev, m, agg)
     same = sorted(map(tuple, base.collect())) == sorted(map(tuple, res.output.collect()))
     print(f"\nexecuted on Spark: rewritten == baseline rows: {same}")
-    res.unpersist()
 
 
 if __name__ == "__main__":

@@ -41,7 +41,6 @@ def run(spark: SparkSession) -> None:
 
     same = rows(base) == rows(res.output)
     print(f"\nexecuted on Spark: factor-window plan == baseline rows: {same}")
-    res.unpersist()
 
 
 if __name__ == "__main__":

@@ -40,17 +40,13 @@ def run(spark: SparkSession, horizon: int = 2400, eta: int = 40) -> dict[str, fl
 
     timed("BL", execute_baseline(ev, WINDOWS, agg))
     m1 = find_min_cost_wcg(WINDOWS, agg, eta=eta)
-    r1 = execute_wcg(ev, m1, agg)
-    timed("WCG", r1.output)
+    timed("WCG", execute_wcg(ev, m1, agg).output)
     m2 = optimize(WINDOWS, agg, eta=eta)
-    r2 = execute_wcg(ev, m2, agg)
-    timed("WCG-FW", r2.output)
+    timed("WCG-FW", execute_wcg(ev, m2, agg).output)
     print(
         f"model costs over R: BL={sum(eta * w.r * (m1.R // w.r) for w in WINDOWS)} "
         f"WCG={m1.total} WCG-FW={m2.total}"
     )
-    r1.unpersist()
-    r2.unpersist()
     ev.unpersist()
     return timings
 

@@ -17,8 +17,9 @@ partition when the root level fits one task (:func:`_fits_one_task`), so
 the chain runs as one task with no exchange, and are shuffled by key
 once otherwise; either way no level's ``GROUP BY _c, key`` needs a
 further exchange (EXPERIMENTS.md §5 weighs both layouts). The same
-levels meter the plan: :meth:`ExecutionResult.pairs` counts each node's
-assignment pairs at its own level, in a second statement.
+builder meters the plan in a second statement, :meth:`ExecutionResult.pairs`:
+its levels carry every node's rows to the last level, each with ``_n``,
+its node's assignment pairs at its own level, so each level runs once.
 """
 from __future__ import annotations
 
@@ -36,10 +37,11 @@ from repro.engine.window_agg import aggregate, codes, concat, query, roots, wind
 @dataclass
 class ExecutionResult:
     """The plan's output, and ``pairs(horizon)``, the metering count of
-    the chain that ran it, in one statement: a row ``(window_id, pairs)``
-    per node with pairs, its (input row, instance) assignments at its own
-    level over its instances that end by ``horizon``. A slice set has no
-    ``r/s``: its ``window_id`` is ``''``."""
+    the chain that ran it, in one statement that runs each of its levels
+    once: a row ``(window_id, pairs)`` per node with pairs, its (input
+    row, instance) assignments at its own level over its instances that
+    end by ``horizon``. A slice set has no ``r/s``: its ``window_id`` is
+    ``''``."""
 
     output: DataFrame
     pairs: Callable[[int], DataFrame]
@@ -76,28 +78,35 @@ def run_chain(
     depth = dict.fromkeys(nodes, 0)
     for _ in nodes:  # k passes settle every depth of a forest of k nodes
         depth = {n: 0 if p is None else depth[p] + 1 for n, p in parent.items()}
-    at_roots = (
-        codes(n, i, k, "tick", "tick + 1") if isinstance(n, Window) else n.codes(i, k, "tick")
-        for i, n in enumerate(nodes) if parent[n] is None
-    )
-    assigns = [concat(at_roots)]  # each level's SQL array of codes per row
-    for d in range(1, max(depth.values()) + 1):
-        routes = " ".join(
-            f"WHEN {i} THEN " + concat(["array(_c)"] * (p in exposed) + [
-                codes(c, nodes.index(c), k, u, end[p]) for c in nodes if parent[c] == p
-            ])
-            for i, p in enumerate(nodes) if depth[p] == d - 1 and p in parent.values()
-        )
-        assigns.append(f"CASE pmod(_c, {k}) {routes} ELSE array(_c) END")
     # The model's root cost per event: r/s pairs per root window, one per slice set.
     per_event = sum(n.r / n.s if isinstance(n, Window) else 1 for n in nodes if parent[n] is None)
     hint = "COALESCE(1)" if _fits_one_task(events, per_event) else "REPARTITION(key)"
 
-    def level(t: str, d: int) -> str:
-        """SQL of level ``d`` of the chain over the events table ``t``."""
-        sql = roots(t, assigns[0], agg, hint=hint)
-        for assign in assigns[1 : d + 1]:
-            sql = aggregate(f"({sql})", assign, agg.merge, agg.state_cols)
+    def chain(t: str, carry: set, count: bool = False) -> str:
+        """SQL of the chain's last level over the events table ``t``. A
+        level carries the rows of ``carry`` on under their own code and
+        drops the others' once it has routed them to their children. With
+        ``count``, a row holds ``_n``, its node's assignment pairs at its
+        own level, in place of the state: a carried row is a group of one
+        that keeps its own ``_n``."""
+        at_roots = concat(
+            codes(n, i, k, "tick", "tick + 1") if isinstance(n, Window) else n.codes(i, k, "tick")
+            for i, n in enumerate(nodes) if parent[n] is None
+        )
+        sql = roots(t, at_roots, ("count(*) AS _n",) if count else agg.partial, hint=hint)
+        for d in range(1, max(depth.values()) + 1):
+            routes = " ".join(
+                f"WHEN {i} THEN " + concat(["array(_c)"] * (p in carry) + [
+                    codes(c, nodes.index(c), k, u, end[p]) for c in nodes if parent[c] == p
+                ])
+                for i, p in enumerate(nodes) if depth[p] == d - 1 and p in parent.values()
+            )
+            own = ", ".join(str(i) for i, n in enumerate(nodes) if depth[n] == d)
+            sql = aggregate(
+                f"({sql})", f"CASE pmod(_c, {k}) {routes} ELSE array(_c) END",
+                (f"sum(if(pmod(_c, {k}) IN ({own}), 1, _n)) AS _n",) if count else agg.merge,
+                ("_n",) if count else agg.state_cols,
+            )
         return sql
 
     at = f"int(pmod(_c, {k})) + 1"
@@ -106,30 +115,14 @@ def run_chain(
     output = query(events, lambda t: (
         f"SELECT element_at(array({ids}), {at}) AS window_id, {u} AS win_start, "
         f"{u} + element_at(array({ranges}), {at}) AS win_end, key, {agg.final} AS value "
-        f"FROM ({level(t, len(assigns) - 1)})"
+        f"FROM ({chain(t, exposed)})"
     ))
     ends = " ".join(f"WHEN {i} THEN {end[n]}" for i, n in enumerate(nodes))
     names = ", ".join(f"'{window_id(n)}'" if isinstance(n, Window) else "''" for n in nodes)
-
-    def counts(t: str, horizon: int) -> str:
-        """SQL of ``(_i, pairs)``: level ``d`` explodes its assignment over
-        the rows below it and counts the codes of the nodes at depth
-        ``d``; a carried row keeps its own, earlier, node's code."""
-        per_level = []
-        for d, assign in enumerate(assigns):
-            rows = f"({level(t, d - 1)})" if d else f"{t} WHERE tick >= 0"
-            own = ", ".join(str(i) for i, n in enumerate(nodes) if depth[n] == d)
-            per_level.append(
-                f"SELECT pmod(_c, {k}) AS _i, count(*) AS pairs "
-                f"FROM (SELECT explode({assign}) AS _c FROM {rows}) "
-                f"WHERE pmod(_c, {k}) IN ({own}) AND CASE pmod(_c, {k}) {ends} END <= {horizon} "
-                "GROUP BY 1"
-            )
-        return " UNION ALL ".join(per_level)
-
     return ExecutionResult(output, lambda horizon: query(events, lambda t: (
-        f"SELECT element_at(array({names}), int(_i) + 1) AS window_id, pairs "
-        f"FROM ({counts(t, horizon)})"
+        f"SELECT element_at(array({names}), {at}) AS window_id, sum(_n) AS pairs "
+        f"FROM ({chain(t, set(nodes), count=True)}) "
+        f"WHERE CASE pmod(_c, {k}) {ends} END <= {horizon} GROUP BY pmod(_c, {k})"
     )))
 
 

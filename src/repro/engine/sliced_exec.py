@@ -59,22 +59,13 @@ class Slices:
         return f"array(({self.start(tick)}) * {k} + {i})"
 
 
-def assign_slices(events: DataFrame, edges: list[int]) -> DataFrame:
-    """Events at ``tick ≥ 0`` with their slice's ``[slice_start, slice_end)``,
-    the sorted ``edges`` repeating every ``edges[-1]`` ticks."""
-    s = Slices([(e % edges[-1], edges[-1]) for e in edges])
-    return events.where("tick >= 0").selectExpr(
-        "*", f"{s.start('tick')} AS slice_start", f"{s.end('tick')} AS slice_end"
-    )
-
-
 def slice_partials(events: DataFrame, edges: list[int], agg: AggSpec) -> DataFrame:
     """Partial aggregate per (slice, key) — the "Partial" cost column —
     over the events shuffled by key: the root level of a sliced plan,
     the sorted ``edges`` repeating every ``edges[-1]`` ticks."""
     s = Slices([(e % edges[-1], edges[-1]) for e in edges])
     return query(events, lambda t: decode(
-        f"({roots(t, s.codes(0, 1, 'tick'), agg, hint='REPARTITION(key)')})", 0, 1, s.end("_c"),
+        f"({roots(t, s.codes(0, 1, 'tick'), agg.partial, hint='REPARTITION(key)')})", 0, 1, s.end("_c"),
         agg.state_cols,
     ))
 

@@ -88,7 +88,8 @@ def run_streaming_plan(
     Each stateful operator keeps one state store per shuffle partition
     and visits every one of them in each micro-batch, so the queries
     start with one partition per core; a query reads the session conf
-    when it starts, and the session's own value is restored after.
+    when it starts, and the session's own value is restored after. If a
+    query fails to start or to drain, every query started is stopped.
     """
     events = spark.readStream.schema(schema).parquet(input_path)
     partials = build_streaming_partials(events, mincost, agg)
@@ -107,8 +108,12 @@ def run_streaming_plan(
                 .start()
             )
             queries[w] = (name, q)
+        for name, q in queries.values():
+            q.awaitTermination()
+    except BaseException:
+        for name, q in queries.values():
+            q.stop()
+        raise
     finally:
         spark.conf.set("spark.sql.shuffle.partitions", saved)
-    for name, q in queries.values():
-        q.awaitTermination()
     return {w: name for w, (name, q) in queries.items()}

@@ -84,15 +84,15 @@ def aggregate(source: str, assign: str, exprs: Sequence[str], cols: Sequence[str
     return f"SELECT _c, key, {', '.join(exprs)} FROM ({assigned}) GROUP BY _c, key"
 
 
-def roots(events: str, assign: str, agg: AggSpec, *, hint: str | None = None) -> str:
+def roots(events: str, assign: str, exprs: Sequence[str], *, hint: str | None = None) -> str:
     """SQL of :func:`aggregate` of the table ``events`` at ``tick ≥ 0``
-    (events before 0 belong to no instance) into partial states; the
+    (events before 0 belong to no instance) by ``exprs`` over ``v``; the
     events are read through the partitioning ``hint`` first, if any:
     ``REPARTITION(key)`` shuffles them by key, ``COALESCE(1)`` reads them
     as one partition. Either satisfies every ``GROUP BY _c, key`` above."""
     if hint:
         events = f"(SELECT /*+ {hint} */ * FROM {events})"
-    return aggregate(f"{events} WHERE tick >= 0", assign, agg.partial, ("v",))
+    return aggregate(f"{events} WHERE tick >= 0", assign, exprs, ("v",))
 
 
 def decode(level: str, i: int, k: int, end: str, cols: Sequence[str]) -> str:
@@ -109,7 +109,7 @@ def partial_window_agg(events: DataFrame, w: Window, agg: AggSpec) -> DataFrame:
     raw events: the root level of a one-window plan."""
     assign = codes(w, 0, 1, "tick", "tick + 1")
     return query(events, lambda t: decode(
-        f"({roots(t, assign, agg)})", 0, 1, f"_c + {w.r}", agg.state_cols
+        f"({roots(t, assign, agg.partial)})", 0, 1, f"_c + {w.r}", agg.state_cols
     ))
 
 

@@ -546,6 +546,20 @@ class TestPlanShape:
         assert generates
         assert not [g for g in generates if "lambdafunction" in g.lower()]
 
+    @pytest.mark.parametrize("windows", [EX7, HOP], ids=["ex7", "hop"])
+    @pytest.mark.parametrize("plan", ["bl", "wcg", "wcg_fw", "sp"])
+    def test_count_runs_each_level_once(self, spark, events, plan, windows):
+        # The metering count and the answer come from one level builder:
+        # the count's executed plan explodes each level once, as the
+        # answer's does, rather than rebuilding the levels below each one.
+        agg = get_aggregate("sum" if windows is EX7 else "min")
+        res = _chain(events, plan, windows, agg)
+        generates = []
+        for df in (res.output, res.pairs(HORIZON)):
+            df.collect()
+            generates.append(sum("Generate " in line for line in _final_plan(df)))
+        assert generates[0] == generates[1]
+
     @pytest.mark.parametrize("agg_name", sorted(AGGREGATES))
     @pytest.mark.parametrize("plan", ["bl", "wcg", "wcg_fw", "sp"])
     def test_merges_are_code_generated(self, spark, events, plan, agg_name):

@@ -6,7 +6,7 @@ import pytest
 from repro.core.aggregates import get_aggregate
 from repro.core.windows import Window
 from repro.engine.oracle_sql import multi_window_sql
-from repro.engine.sliced_exec import assign_slices, sliced_window_agg, slice_partials
+from repro.engine.sliced_exec import sliced_window_agg, slice_partials
 from repro.engine.streams import event_stream, event_stream_pdf
 from repro.oracle import assert_equivalent
 
@@ -28,25 +28,32 @@ def events_pdf():
     return event_stream_pdf(horizon=HORIZON, eta=2, n_keys=2, seed=11)
 
 
+def _slices(events, edges):
+    """The rows of :func:`slice_partials` under COUNT, each a slice
+    ``[win_start, win_end)`` of one key, checked to count exactly the
+    events of its key that sit in it, every event in exactly one."""
+    rows = slice_partials(events, edges, get_aggregate("count")).collect()
+    ticks = [(e.tick, e.key) for e in events.collect()]
+    for r in rows:
+        assert r._count == sum(k == r.key and r.win_start <= t < r.win_end for t, k in ticks)
+    for t, k in ticks:
+        assert sum(r.key == k and r.win_start <= t < r.win_end for r in rows) == 1
+    assert sum(r._count for r in rows) == HORIZON * 2
+    return rows
+
+
 class TestSliceAssignment:
     def test_every_event_in_its_slice(self, spark, events):
-        edges = [4, 8, 10, 20, 40, 60]
-        rows = assign_slices(events, edges).collect()
-        assert len(rows) == HORIZON * 2
-        for r in rows:
-            assert r.slice_start <= r.tick < r.slice_end
+        _slices(events, [4, 8, 10, 20, 40, 60])
 
     def test_listed_edges_repeat_every_last_edge(self, spark, events):
         # [4, 8, 10, 20] repeats every 20 ticks: tick 25 is in [24, 28).
-        rows = assign_slices(events, [4, 8, 10, 20]).collect()
-        assert len(rows) == HORIZON * 2
-        starts = {r.tick: (r.slice_start, r.slice_end) for r in rows}
-        assert starts[25] == (24, 28)
-        assert starts[39] == (30, 40) and starts[40] == (40, 44)
-        for r in rows:
-            piece = (r.slice_start % 20, r.slice_end - r.slice_start)
-            assert piece in {(0, 4), (4, 4), (8, 2), (10, 10)}
-            assert r.slice_start <= r.tick < r.slice_end
+        rows = _slices(events, [4, 8, 10, 20])
+        holding = {(r.win_start, r.win_end) for r in rows for t in (25, 39, 40)
+                   if r.win_start <= t < r.win_end}
+        assert holding == {(24, 28), (30, 40), (40, 44)}
+        pieces = {(r.win_start % 20, r.win_end - r.win_start) for r in rows}
+        assert pieces == {(0, 4), (4, 4), (8, 2), (10, 10)}
 
     def test_partials_one_row_per_slice_key(self, spark, events):
         agg = get_aggregate("count")

@@ -2,6 +2,7 @@
 aggregations must emit the same rows as the batch engine (modulo the
 watermark cutoff) for the paper's examples."""
 import pytest
+from pyspark.sql.streaming import DataStreamWriter
 
 from repro.core.aggregates import get_aggregate
 from repro.core.factor import algorithm2, optimize
@@ -80,6 +81,34 @@ class TestSupportMatrix:
             run_streaming_plan(spark, stream_dir, SCHEMA, m, SUM, sink_prefix="conf")
             assert spark.conf.get(key) == str(spark.sparkContext.defaultParallelism + 1)
         finally:
+            spark.conf.set(key, saved)
+
+
+    def test_started_queries_stop_when_one_fails(self, spark, stream_dir, monkeypatch):
+        # The first query would run until stopped (a processing-time
+        # trigger); the second fails to start.
+        key = "spark.sql.shuffle.partitions"
+        saved = spark.conf.get(key)
+        spark.conf.set(key, str(spark.sparkContext.defaultParallelism + 1))
+        start, calls = DataStreamWriter.start, []
+
+        def start_once(writer, *args, **kwargs):
+            calls.append(writer)
+            if len(calls) > 1:
+                raise RuntimeError("the second query fails to start")
+            return start(writer.trigger(processingTime="1 hour"), *args, **kwargs)
+
+        monkeypatch.setattr(DataStreamWriter, "start", start_once)
+        m = find_min_cost_wcg(EX6, SUM, eta=1)
+        try:
+            with pytest.raises(RuntimeError, match="second query"):
+                run_streaming_plan(spark, stream_dir, SCHEMA, m, SUM, sink_prefix="fails")
+            assert len(calls) == 2
+            assert spark.streams.active == []
+            assert spark.conf.get(key) == str(spark.sparkContext.defaultParallelism + 1)
+        finally:
+            for q in spark.streams.active:
+                q.stop()
             spark.conf.set(key, saved)
 
 
