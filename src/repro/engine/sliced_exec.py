@@ -27,15 +27,12 @@ from repro.slicing.compose import edge_classes
 
 class Slices:
     """The slices that the residue classes ``(res, m)`` of their edges
-    bound, as a root of a plan; a class that another class holds
-    (``m' | m``, ``res ≡ res' (mod m')``) is dropped."""
+    bound, as a root of a plan; the classes arrive reduced
+    (:func:`repro.slicing.compose.edge_classes` drops any that another
+    holds)."""
 
     def __init__(self, classes: list[tuple[int, int]]):
-        self.classes = sorted(
-            (r, m) for r, m in set(classes)
-            if not any((r2, m2) != (r, m) and m % m2 == 0 and (r - r2) % m2 == 0
-                       for r2, m2 in classes)
-        )
+        self.classes = sorted(set(classes))
 
     def _bound(self, t: str, end: bool) -> str:
         """SQL for the greatest edge ``≤ t``, or with ``end`` the least ``> t``."""

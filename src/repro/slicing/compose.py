@@ -7,20 +7,18 @@ distinct edges (= slices = partial aggregates) per period ``S`` — is the
 quantity Table 1's shared costs depend on.
 
 Each window contributes edges as residue classes modulo its slide
-(pane/paired boundaries repeat every period), so the union's size is
-computed either by materializing positions (small ``S``) or by DFS
-inclusion–exclusion over residue classes with CRT compatibility pruning
-(large ``S``); the two agree exactly and tests check that.
+(pane/paired boundaries repeat every period). :func:`edge_classes` drops
+every class that another class holds, and the union's size is counted
+one way, exact for any ``S``: DFS inclusion–exclusion over the remaining
+classes with CRT compatibility pruning. Tests check it against the
+positions listed straight from each window's definition.
 """
 from __future__ import annotations
 
 import math
 
 from repro.core.windows import Window, lcm_many
-from repro.slicing import paired, paned
-
-#: Materialize positions explicitly below this period size.
-_EXPLICIT_LIMIT = 2_000_000
+from repro.slicing import paned
 
 
 def slide_period(windows: list[Window]) -> int:
@@ -29,72 +27,57 @@ def slide_period(windows: list[Window]) -> int:
 
 
 def edge_classes(windows: list[Window], technique: str) -> list[tuple[int, int]]:
-    """Each window's edges as residue classes ``(residue, modulus)``.
+    """The window set's edges as residue classes ``(residue, modulus)``,
+    sorted, none held by another.
 
     A paned window's edges are the multiples of its pane, ``(0, g)``. A
-    paired window's edge at offset ``e`` within a period of ``s`` occurs
-    at all positions ``≡ e (mod s)``; offsets are normalized to
-    ``[0, s)`` so the period-end edge ``s`` maps to residue 0.
+    paired window's are ``(0, s)`` and ``(r mod s, s)``: its instances
+    ``[m·s, m·s + r)`` start at a multiple of ``s`` and end at residue
+    ``r mod s`` (not ``s − r mod s``, which mirrors the edges). A class
+    ``(r, m)`` is dropped when another ``(r', m')`` holds it: ``m' | m``
+    and ``r ≡ r' (mod m')``.
     """
     if technique == "paned":
-        return sorted({(0, paned.pane_size(w)) for w in windows})
-    if technique != "paired":
+        classes = {(0, paned.pane_size(w)) for w in windows}
+    elif technique == "paired":
+        classes = {c for w in windows for c in ((0, w.s), (w.r % w.s, w.s))}
+    else:
         raise ValueError(f"unknown slicing technique {technique!r}")
-    return sorted({(e % w.s, w.s) for w in windows for e in paired.slice_edges_per_period(w)})
+    return sorted(
+        (r, m) for r, m in classes
+        if not any((r2, m2) != (r, m) and m % m2 == 0 and (r - r2) % m2 == 0
+                   for r2, m2 in classes)
+    )
 
 
-def _count_union_explicit(classes: list[tuple[int, int]], S: int) -> int:
-    positions: set[int] = set()
-    for res, m in classes:
-        positions.update(range(res, S, m))
-    return len(positions)
+def composed_edge_count(windows: list[Window], technique: str) -> int:
+    """``E`` — distinct slice edges of the composed sliced window per
+    period ``S``. ``technique`` is ``"paned"`` or ``"paired"``.
 
-
-def _count_union_crt(classes: list[tuple[int, int]], S: int) -> int:
-    """|union of residue classes| in [0, S) by inclusion–exclusion.
-
-    DFS over subsets; a subset's intersection is one residue class mod
-    ``lcm`` (CRT) when pairwise-compatible, empty otherwise — and any
-    superset of an incompatible subset stays empty, which prunes the
-    exponential enumeration to the compatible sub-lattice.
+    Inclusion–exclusion over :func:`edge_classes` by DFS over subsets: a
+    subset's intersection is one residue class mod the lcm of its moduli
+    (CRT) when pairwise-compatible and empty otherwise, as is that of
+    every superset, which prunes the enumeration to the compatible
+    sub-lattice. Every modulus divides ``S``, so a class mod ``m`` holds
+    ``S // m`` positions of ``[0, S)``.
     """
+    S = slide_period(windows)
+    classes = edge_classes(windows, technique)
 
-    def compatible(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int] | None:
-        g = math.gcd(m1, m2)
-        if (r1 - r2) % g:
-            return None
-        lcm = m1 // g * m2
-        # CRT merge: find x ≡ r1 (mod m1), x ≡ r2 (mod m2).
-        # x = r1 + m1·t with m1·t ≡ r2−r1 (mod m2).
-        t = ((r2 - r1) // g * pow(m1 // g, -1, m2 // g)) % (m2 // g)
-        return ((r1 + m1 * t) % lcm, lcm)
-
-    total = 0
-
-    def dfs(idx: int, res: int, mod: int, size: int) -> None:
-        nonlocal total
-        if size > 0:
-            total += (-1) ** (size + 1) * (S // mod)
+    def dfs(idx: int, res: int, mod: int, sign: int) -> int:
+        total = 0
         for j in range(idx, len(classes)):
             r2, m2 = classes[j]
-            merged = compatible(res, mod, r2, m2) if size else (r2, m2)
-            if merged is not None:
-                dfs(j + 1, merged[0], merged[1], size + 1)
+            g = math.gcd(mod, m2)
+            if (r2 - res) % g:
+                continue
+            # CRT merge: x = res + mod·t with mod·t ≡ r2 − res (mod m2).
+            t = (r2 - res) // g * pow(mod // g, -1, m2 // g) % (m2 // g)
+            lcm = mod // g * m2
+            total += sign * (S // lcm) + dfs(j + 1, (res + mod * t) % lcm, lcm, -sign)
+        return total
 
-    dfs(0, 0, 1, 0)
-    return total
-
-
-def composed_edge_count(
-    windows: list[Window], technique: str, S: int | None = None
-) -> int:
-    """``E`` — distinct slice edges of the composed sliced window per
-    period ``S``. ``technique`` is ``"paned"`` or ``"paired"``."""
-    S = slide_period(windows) if S is None else S
-    classes = edge_classes(windows, technique)
-    if S <= _EXPLICIT_LIMIT:
-        return _count_union_explicit(classes, S)
-    return _count_union_crt(classes, S)
+    return dfs(0, 0, 1, 1)
 
 
 def composed_edges(windows: list[Window], technique: str, horizon: int) -> list[int]:

@@ -37,12 +37,6 @@ class SlicingCost:
         return self.partial + self.final
 
 
-def _ratio(w: Window) -> int:
-    if w.r % w.s:
-        raise ValueError(f"Table 1 shared finals need r % s == 0, got {w}")
-    return w.r // w.s
-
-
 def unshared_paned(windows: list[Window], eta: int) -> SlicingCost:
     S = slide_period(windows)
     partial = len(windows) * eta * S
@@ -61,15 +55,15 @@ def unshared_paired(windows: list[Window], eta: int) -> SlicingCost:
 
 def shared_paned(windows: list[Window], eta: int) -> SlicingCost:
     S = slide_period(windows)
-    E = composed_edge_count(windows, "paned", S)
-    final = sum(E * _ratio(w) for w in windows)
+    E = composed_edge_count(windows, "paned")
+    final = sum(E * w.k for w in windows)
     return SlicingCost(eta * S, final, S)
 
 
 def shared_paired(windows: list[Window], eta: int) -> SlicingCost:
     S = slide_period(windows)
-    E = composed_edge_count(windows, "paired", S)
-    final = sum(E * _ratio(w) for w in windows)
+    E = composed_edge_count(windows, "paired")
+    final = sum(E * w.k for w in windows)
     return SlicingCost(eta * S, final, S)
 
 

@@ -15,24 +15,6 @@ import math
 from repro.core.windows import Window
 
 
-def paired_slices(w: Window) -> tuple[int, ...]:
-    """Slice lengths ``(z1, z2)`` — or ``(s,)`` when ``r mod s == 0``; in
-    each period the ``z2`` slice comes first."""
-    z2 = w.r % w.s
-    if z2 == 0:
-        return (w.s,)
-    return (w.s - z2, z2)
-
-
-def slice_edges_per_period(w: Window) -> list[int]:
-    """Slice end positions within one period ``(0, s]``: where an
-    instance ends (``z2``) and where the next starts (``s``)."""
-    z2 = w.r % w.s
-    if z2 == 0:
-        return [w.s]
-    return [z2, w.s]
-
-
 def slices_per_window(w: Window) -> int:
     """Actual slices combined by one firing's final aggregate.
 

@@ -17,27 +17,6 @@ def pane_size(w: Window) -> int:
     return math.gcd(w.r, w.s)
 
 
-def panes_per_period(w: Window) -> int:
-    """``m = s/g`` — number of panes per slide period."""
-    return w.s // pane_size(w)
-
-
 def panes_per_window(w: Window) -> int:
     """``r/g`` — panes combined by each firing's final aggregate."""
     return w.r // pane_size(w)
-
-
-def slice_edges_per_period(w: Window) -> list[int]:
-    """Pane end positions within one period ``(0, s]``: ``g, 2g, …, s``.
-
-    An "edge" at position ``e`` means a slice boundary at every time
-    ``k·s + e``; following [29]'s Definition 2 we record the *ends* of
-    slices, so each period contributes exactly ``m`` edges.
-    """
-    g = pane_size(w)
-    return list(range(g, w.s + 1, g))
-
-
-def slices(w: Window) -> list[int]:
-    """Slice lengths ``(g_1, …, g_m)``, all equal to ``g``."""
-    return [pane_size(w)] * panes_per_period(w)

@@ -49,6 +49,19 @@ class TestExampleJobs:
         mod["run"](spark)
         out = capsys.readouterr().out
         assert out.count("== baseline rows: True") == 4
+        # The printed costs are EXPERIMENTS.md §2's sample table, so the
+        # job and the doc cannot drift apart.
+        printed: dict[str, list[str]] = {}
+        for line in out.splitlines():
+            name, *nums = line.split() or [""]
+            if name in ("unshared_paned", "unshared_paired", "shared_paned", "shared_paired"):
+                printed.setdefault(name, []).append(" / ".join(nums))
+        text = (JOBS.parent / "EXPERIMENTS.md").read_text()
+        section = text[text.index("## 2. Table 1"):text.index("## 3.")]
+        for name, (general, tumbling) in printed.items():
+            label = name.replace("_", " ").capitalize()
+            assert f"| {label} | {general} | {tumbling} |" in section, name
+        assert len(printed) == 4
 
     def test_exec_compare_small(self, spark, capsys):
         mod = runpy.run_path(str(JOBS / "exec_compare.py"))

@@ -1,13 +1,15 @@
 """Table 1 (slicing cost formulas) validated against explicit slice
-simulation, plus composed-edge counting (explicit vs CRT inclusion–
-exclusion)."""
+simulation, plus composed-edge counting (CRT inclusion–exclusion over
+the reduced residue classes vs positions listed from each window's
+definition)."""
+import math
+
 import pytest
+from hypothesis import given, settings
 
 from repro.core.windows import Window
 from repro.slicing import paired, paned
 from repro.slicing.compose import (
-    _count_union_crt,
-    _count_union_explicit,
     edge_classes,
     composed_edge_count,
     composed_edges,
@@ -21,6 +23,7 @@ from repro.slicing.cost import (
     unshared_paned,
 )
 from repro.workloads.generators import random_gen
+from tests.window_sets import window_sets
 
 GENERAL = [Window(12, 4), Window(10, 2), Window(6, 6)]
 TUMBLING = [Window(4, 4), Window(6, 6), Window(12, 12)]
@@ -32,38 +35,31 @@ class TestPanedSlices:
         assert paned.pane_size(Window(10, 10)) == 10
 
     def test_panes_per_period(self):
-        assert paned.panes_per_period(Window(12, 8)) == 2
-        assert paned.panes_per_period(Window(10, 10)) == 1
+        # One window's composed edges per period are its panes.
+        assert composed_edge_count([Window(12, 8)], "paned") == 2
+        assert composed_edge_count([Window(10, 10)], "paned") == 1
 
     def test_panes_per_window(self):
         assert paned.panes_per_window(Window(12, 8)) == 3
 
-    def test_slices_sum_to_period(self):
-        for w in GENERAL + TUMBLING:
-            assert sum(paned.slices(w)) == w.s
-
     def test_edges(self):
-        assert paned.slice_edges_per_period(Window(12, 8)) == [4, 8]
+        assert edge_classes([Window(12, 8)], "paned") == [(0, 4)]
 
 
 class TestPairedSlices:
     def test_general_pair(self):
-        # W(12, 8): z2 = 12 mod 8 = 4, z1 = 4.
-        assert paired.paired_slices(Window(12, 8)) == (4, 4)
+        # W(12, 8): instances start at residue 0 and end at 12 mod 8 = 4.
+        assert edge_classes([Window(12, 8)], "paired") == [(0, 8), (4, 8)]
 
     def test_degenerate_single_slice(self):
-        assert paired.paired_slices(Window(12, 4)) == (4,)
-        assert paired.paired_slices(Window(10, 10)) == (10,)
-
-    def test_slices_sum_to_period(self):
-        for w in GENERAL + TUMBLING + [Window(12, 8), Window(7, 3)]:
-            assert sum(paired.paired_slices(w)) == w.s
+        assert edge_classes([Window(12, 4)], "paired") == [(0, 4)]
+        assert edge_classes([Window(10, 10)], "paired") == [(0, 10)]
 
     def test_at_most_two_slices_never_more_than_paned(self):
         # "paired windows can never be worse than paned" (slice count).
         for w in GENERAL + TUMBLING + [Window(12, 8), Window(7, 3), Window(9, 6)]:
-            assert len(paired.paired_slices(w)) <= 2
-            assert len(paired.paired_slices(w)) <= len(paned.slices(w))
+            paired_e = composed_edge_count([w], "paired")
+            assert paired_e <= min(2, composed_edge_count([w], "paned"))
 
     def test_table1_formula_vs_actual(self):
         # ⌈2r/s⌉ is the literal Table-1 count; the actual need is r/s
@@ -81,28 +77,45 @@ class TestComposedEdges:
     @pytest.mark.parametrize("ws", [GENERAL, TUMBLING])
     def test_explicit_matches_crt(self, technique, ws):
         S = slide_period(ws)
-        classes = edge_classes(ws, technique)
-        assert _count_union_explicit(classes, S) == _count_union_crt(classes, S)
+        assert len(composed_edges(ws, technique, S)) == composed_edge_count(ws, technique)
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("technique", ["paned", "paired"])
     def test_explicit_matches_crt_random(self, seed, technique):
         ws = random_gen(n=4, s_max=10, k_max=5, seed=seed)
         S = slide_period(ws)
-        classes = edge_classes(ws, technique)
-        assert _count_union_explicit(classes, S) == _count_union_crt(classes, S)
+        assert len(composed_edges(ws, technique, S)) == composed_edge_count(ws, technique)
 
     def test_count_matches_edge_list(self):
         ws = GENERAL
         S = slide_period(ws)
         edges = composed_edges(ws, "paned", S)
         # positions in (0, S] ↔ residues in [0, S): same cardinality.
-        assert len(edges) == composed_edge_count(ws, "paned", S)
+        assert len(edges) == composed_edge_count(ws, "paned")
 
     def test_single_tumbling_window(self):
         w = [Window(10, 10)]
         assert composed_edge_count(w, "paned") == 1
         assert composed_edge_count(w, "paired") == 1
+
+    # s_max = 12 keeps S = lcm(slides) ≤ lcm(1, …, 12) = 27,720.
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(window_sets(n_max=6, s_max=12, k_max=4))
+    def test_count_is_exact(self, ws):
+        # E against the positions of [0, S) that each window's own
+        # definition cuts, with no residue classes in between.
+        S = slide_period(ws)
+        paired_cuts, paned_cuts = set(), set()
+        for w in ws:
+            paired_cuts.update(range(0, S, w.s), range(w.r % w.s, S, w.s))
+            paned_cuts.update(range(0, S, math.gcd(w.r, w.s)))
+        for technique, cuts in (("paired", paired_cuts), ("paned", paned_cuts)):
+            assert composed_edge_count(ws, technique) == len(cuts), technique
+            classes = edge_classes(ws, technique)
+            assert not [
+                (c, d) for c in classes for d in classes
+                if c != d and c[1] % d[1] == 0 and (c[0] - d[0]) % d[1] == 0
+            ]
 
 
 def simulate_shared_final(ws, technique):
