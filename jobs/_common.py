@@ -13,7 +13,6 @@ from pyspark.sql import SparkSession
 SESSION_DEFAULTS = {
     "spark.sql.shuffle.partitions": "64",
     "spark.sql.execution.arrow.pyspark.enabled": "true",
-    "spark.sql.autoBroadcastJoinThreshold": "-1",
     # Build every pandas input as a scan over Arrow record batches, one
     # partition per batch, never as an inline LocalRelation. Under the
     # default 48 MB threshold, every statement's analysed plan carried the

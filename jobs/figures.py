@@ -1,9 +1,9 @@
-"""Shared driver for the figure jobs: print one figure's tables.
+"""The figure job: print one figure's tables.
 
 Figures 11–15 are analytic-cost experiments (no Spark needed to compute
 them — the paper evaluates the cost models, as §5.2 'Evaluation Metrics'
-describes); each fig*.py entrypoint prints the markdown tables that
-EXPERIMENTS.md records.
+describes); ``python jobs/figures.py figNN`` prints the markdown tables
+that EXPERIMENTS.md records for Figure NN.
 """
 from __future__ import annotations
 

@@ -19,11 +19,12 @@ This module implements:
   ``r_W``; dependent candidates pruned; winner picked per Theorem 9.
 * ``theorem9_prefers`` — the ratio comparator of Theorem 9.
 * ``algorithm2`` / ``optimize`` — rerun Algorithm 1 over the WCG of the
-  augmented windows plus the best factor window per vertex (unused
-  factors pruned), drop every factor window that does not pay for
-  itself, and return the better of the factor-free and factor-enabled
-  plans (§4.3: Algorithm 2 is a Steiner-tree heuristic, not guaranteed
-  optimal, so the paper keeps whichever of Alg 1/Alg 2 wins).
+  augmented windows plus the best factor window per vertex (factors no
+  query window descends from drop out), drop every factor window that
+  does not pay for itself, and return the better of the factor-free and
+  factor-enabled plans (§4.3: Algorithm 2 is a Steiner-tree heuristic,
+  not guaranteed optimal, so the paper keeps whichever of Alg 1/Alg 2
+  wins).
 """
 from __future__ import annotations
 
@@ -232,8 +233,8 @@ def algorithm2(windows: list[Window], agg: AggSpec, eta: int = 1) -> MinCostWCG:
     factor window for every vertex's Figure-9 pattern (Algorithm 4 under
     "partitioned by", the generic Eq.-2/3 search under "covered by"),
     and reruns Algorithm 1 over the WCG of the augmented windows plus all
-    of them. Factor vertices nothing reads from — including ``S`` — are
-    pruned.
+    of them. Factor vertices that no query window descends from —
+    including ``S`` — drop out of the plan.
 
     Candidates are chosen against the *original* augmented graph (one
     pattern per vertex, as the paper's `foreach` does), and a WCG is a
@@ -243,8 +244,9 @@ def algorithm2(windows: list[Window], agg: AggSpec, eta: int = 1) -> MinCostWCG:
     child costs ``η·R``, as much as that child reading the raw stream,
     and only adds a level. So a benefit pass closes the search: it
     removes the factor window (``S`` included) whose removal lowers the
-    total most when Algorithm 1 reruns over the WCG of the plan's windows
-    without it, until no removal lowers it.
+    total most when Algorithm 1 reruns over the plan's windows without it,
+    until no removal lowers it. Each trial restricts the one candidate
+    graph to those windows; none builds a WCG of its own.
     """
     R = hyperperiod(windows)
     g = augment_wcg(build_wcg(windows, agg.semantics))
@@ -265,11 +267,8 @@ def algorithm2(windows: list[Window], agg: AggSpec, eta: int = 1) -> MinCostWCG:
     while m.factors:
         # Over the plan's own windows: with the unused candidates back,
         # Algorithm 1 may pick one that costs more than it saves.
-        trials = (
-            WCG(tuple(w for w in m.windows if w != f), g.semantics, frozenset(m.factors - {f}))
-            for f in sorted(m.factors)
-        )
-        m_less = min((minimize_over_graph(t, eta, R) for t in trials), key=lambda t: t.total)
+        trials = (minimize_over_graph(g, eta, R, set(m.windows) - {f}) for f in sorted(m.factors))
+        m_less = min(trials, key=lambda t: t.total)
         if m_less.total >= m.total:
             break
         m = m_less

@@ -7,10 +7,10 @@ parent minimizing ``n_i·M(W_i, W')`` (Observation 1). Keeping only the
 winning incoming edge per window yields a forest (Theorem 7) — the
 *min-cost WCG* — which drives query rewriting (§3.3).
 
-Factor-window vertices that nothing ends up reading from are pruned
-iteratively: they are not part of the query, so an unused factor window
-would add cost for no benefit (this also removes the virtual root ``S``
-of the augmented WCG when it is not chosen as anyone's parent).
+The result keeps only the windows that some query window reaches through
+its chosen parents: an unused factor window would add cost for no
+benefit, so it drops out (as does the augmented WCG's virtual root ``S``
+when no query window descends from it).
 """
 from __future__ import annotations
 
@@ -81,52 +81,41 @@ class MinCostWCG:
         )
 
 
-def minimize_over_graph(g: WCG, eta: int, R: int) -> MinCostWCG:
-    """Run Algorithm 1 lines 2–7 over an already-built WCG ``g``, with
-    costs over the hyperperiod ``R`` of the query's windows.
+def minimize_over_graph(g: WCG, eta: int, R: int, among: set[Window] | None = None) -> MinCostWCG:
+    """Run Algorithm 1 lines 2–7 over the windows ``among`` of an
+    already-built WCG ``g`` (all of them by default), with costs over the
+    hyperperiod ``R`` of the query's windows.
 
-    Separated from :func:`find_min_cost_wcg` so Algorithm 2 can reuse it
-    on the factor-window-expanded graph (its line 6).
+    Algorithm 2 runs it over its one candidate graph (line 6), and its
+    benefit pass over subsets of that graph. The plan keeps the windows
+    that some query window reaches through its parent chain.
     """
+    among = set(g.windows) if among is None else among
     parent: dict[Window, Window | None] = {}
     cost: dict[Window, int] = {}
-    for w in g.windows:
+    for w in (w for w in g.windows if w in among):
         best_p: Window | None = None
         best_c = raw_cost(w, R, eta)  # line 3: initialize from raw stream
-        for p in sorted(g.parents[w]):  # lines 4–5: try covering parents
+        for p in sorted(g.parents[w] & among):  # lines 4–5: try covering parents
             c = rollup_cost(w, p, R)
             if c < best_c:
                 best_c, best_p = c, p
         parent[w] = best_p
         cost[w] = best_c
-    out = MinCostWCG(
-        windows=list(g.windows),
-        parent=parent,
-        cost=cost,
-        factors=set(g.factors),
+    reached: set[Window] = set()
+    for w in parent.keys() - g.factors:
+        while w is not None and w not in reached:
+            reached.add(w)
+            w = parent[w]
+    windows = [w for w in parent if w in reached]
+    return MinCostWCG(
+        windows=windows,
+        parent={w: parent[w] for w in windows},
+        cost={w: cost[w] for w in windows},
+        factors=set(g.factors & reached),
         R=R,
         eta=eta,
     )
-    _prune_unused_factors(out)
-    return out
-
-
-def _prune_unused_factors(m: MinCostWCG) -> None:
-    """Drop factor windows that no remaining window rolls up from.
-
-    Iterates to a fixed point: removing a leaf factor can orphan another
-    factor window upstream of it.
-    """
-    while True:
-        used = {p for p in m.parent.values() if p is not None}
-        dead = [w for w in m.windows if w in m.factors and w not in used]
-        if not dead:
-            return
-        for w in dead:
-            m.windows.remove(w)
-            del m.parent[w]
-            del m.cost[w]
-            m.factors.discard(w)
 
 
 def find_min_cost_wcg(windows: list[Window], agg: AggSpec, eta: int = 1) -> MinCostWCG:

@@ -98,8 +98,8 @@ def chain_gen(
             if tumbling:
                 # tumbling child: range a proper multiple of prev's range
                 # (Theorem 4 ⇒ partitioned by prev).
-                w = Window(prev.r * rnd.randint(2, 4), prev.r * 1)
-                w = Window(w.r, w.r)
+                r = prev.r * rnd.randint(2, 4)
+                w = Window(r, r)
             else:
                 # Slides may outgrow s_max along the chain: once
                 # prev.r = k_max·prev.s, no larger window with slide
@@ -194,7 +194,6 @@ def random_graph_gen(
     for lvl in range(1, levels):
         want = base + delta * lvl
         below = all_levels[-1]
-        cur: list[Window] = []
 
         def candidate(existing: list[Window]) -> Window | None:
             sub = random_subset(rnd, below, p)
@@ -214,19 +213,14 @@ def random_graph_gen(
             else:
                 k = rnd.randint(k_lo, k_lo + k_max)
                 w = Window(k * s, s)
-            if not all(covers(w, b) or not _should_cover(w, b) for b in sub):
-                return None
+            # w covers every b in sub (Theorem 1): its slide is a multiple
+            # of s_b, r_b = k_b·s_b, and its range exceeds r_floor ≥ r_b.
             return _antichain_candidate(w, existing)
 
-        cur = _unique(candidate, want)
-        all_levels.append(cur)
+        all_levels.append(_unique(candidate, want))
     out = [w for lvl in all_levels for w in lvl]
     # distinct across levels too
     return _dedupe(out)
-
-
-def _should_cover(w: Window, b: Window) -> bool:
-    return w.r > b.r
 
 
 def _antichain_candidate(w: Window, existing: list[Window]) -> Window | None:

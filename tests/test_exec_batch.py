@@ -424,6 +424,11 @@ def _advisory(spark, size: str):
             spark.conf.set(ADVISORY, was)
 
 
+def _joins(df) -> list[str]:
+    """The lines of ``df``'s executed plan that join."""
+    return [line for line in _final_plan(df) if "Join" in line]
+
+
 def _key_shuffles(df) -> int:
     """The exchanges by key in ``df``'s executed plan."""
     return sum("Exchange hashpartitioning(key" in line for line in _final_plan(df))
@@ -442,7 +447,8 @@ def _assert_layouts(spark, events, build, group: str) -> None:
     levels, collected in the default session, runs one Spark job that
     shuffles nothing; built with Spark's target bytes per task lowered
     below its root level's, it shuffles every event once and nothing
-    else. Neither caches an RDD, and each runs one aggregate per level."""
+    else. Neither caches an RDD or joins, and each runs one aggregate per
+    level."""
     jsc = spark.sparkContext._jsc.sc()
     cached_before = {i.id() for i in jsc.getRDDStorageInfo()}
     df, levels = build()
@@ -450,12 +456,14 @@ def _assert_layouts(spark, events, build, group: str) -> None:
     assert _shuffle_write_records(spark, f"{group}-one-task") == []
     assert len(spark.sparkContext.statusTracker().getJobIdsForGroup(f"{group}-one-task")) == 1
     assert _key_shuffles(df) == 0
+    assert not _joins(df)
     outputs = [_final_aggregates(df)]
     with _advisory(spark, "1b"):
         df, _ = build()
     _collect_in_group(spark, df, f"{group}-shuffle")
     assert _shuffle_write_records(spark, f"{group}-shuffle") == [events.count()]
     assert _key_shuffles(df) == 1
+    assert not _joins(df)
     outputs.append(_final_aggregates(df))
     assert {i.id() for i in jsc.getRDDStorageInfo()} <= cached_before
     for aggregates in outputs:

@@ -1,5 +1,7 @@
 """Factor windows (§4): Equations 2–3, Algorithms 2–4, Theorems 8–9,
 and the paper's Examples 7 and 8."""
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +22,7 @@ from repro.core.factor import (
 from repro.core.mincost import find_min_cost_wcg, minimize_over_graph
 from repro.core.wcg import UNIT_WINDOW, WCG, augment_wcg, build_wcg
 from repro.core.windows import Window, covers, hyperperiod
-from repro.workloads.generators import chain_gen, random_gen, star_gen
+from repro.workloads.generators import chain_gen, random_gen, random_graph_gen, star_gen
 from tests.window_sets import window_sets
 
 MIN = get_aggregate("min")
@@ -293,6 +295,14 @@ class TestOptimizerTotal:
         # windows without it finds no cheaper plan.
         for f in m.factors:
             assert _total_without(m, f, spec) >= m.total, f
+        # A fixed point: over the plan's own windows Algorithm 1 returns the
+        # plan itself, so every factor is read and every parent is the
+        # cheapest among the plan's windows.
+        g = WCG(tuple(m.windows), spec.semantics, frozenset(m.factors))
+        again = minimize_over_graph(g, eta, m.R)
+        assert (again.windows, again.parent, again.cost, again.factors) == (
+            m.windows, m.parent, m.cost, m.factors,
+        )
 
     @pytest.mark.parametrize("agg", sorted(AGGREGATES))
     def test_windows_with_r_mod_s_nonzero(self, agg):
@@ -342,6 +352,57 @@ class TestOptimizerTotal:
         assert m.children(UNIT_WINDOW) == [Window(4, 4), Window(6, 6)]
         assert m.parent[UNIT_WINDOW] is None
         assert m.total == 144
+
+
+#: SHA-256 of ``optimize()``'s plans over the optimizer sweep's corpus,
+#: per family and η; see :func:`_corpus_plans_digest`.
+PINNED_PLAN_DIGESTS = {
+    ("min", False, 10): (
+        "1deefb87a0f5b611396853b33dbdf911"
+        "2d8f9fffaf21e870a16fa4167cf9116d"
+    ),
+    ("min", False, 100): (
+        "22ed78f5f7534cc67423b0edd09d054e"
+        "13abb163c5c87b86b3a159ab5f71d530"
+    ),
+    ("sum", True, 10): (
+        "a53d7a445f6525b9a66a37c928048831"
+        "f06781ad1049a6cc78e6f3fb5180a417"
+    ),
+    ("sum", True, 100): (
+        "fed8f180824c1f38e199f12a7e913a21"
+        "023155e590fd0446e0cc5e1be82556d4"
+    ),
+}
+
+
+def _corpus_plans_digest(agg: str, tumbling: bool, eta: int) -> str:
+    """Hash every plan ``optimize()`` returns over one family of the sweep
+    corpus: the three §5.2 generators at sizes 3/5/8 and RandomGraphGen,
+    seeds 0–39, ``s_max=16``, ``k_max=8``. Orders are hashed as they are,
+    since the engine numbers a plan's nodes by ``list(parent)``."""
+    spec = get_aggregate(agg)
+    sets = [
+        gen(n=n, s_max=16, k_max=8, seed=seed, tumbling=tumbling)
+        for gen in (random_gen, chain_gen, star_gen)
+        for n in (3, 5, 8)
+        for seed in range(40)
+    ] + [
+        random_graph_gen(levels=3, base=2, delta=2, s_max=16, k_max=8, seed=seed, tumbling=tumbling)
+        for seed in range(40)
+    ]
+    h = hashlib.sha256()
+    for ws in sets:
+        m = optimize(ws, spec, eta=eta)
+        plan = (m.windows, list(m.parent.items()), list(m.cost.items()), sorted(m.factors), m.R)
+        h.update(repr(plan).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(("agg", "tumbling", "eta"), sorted(PINNED_PLAN_DIGESTS))
+def test_optimize_returns_the_pinned_corpus_plans(agg, tumbling, eta):
+    # Footnote 5's families: general sets under MIN, tumbling sets under SUM.
+    assert _corpus_plans_digest(agg, tumbling, eta) == PINNED_PLAN_DIGESTS[agg, tumbling, eta]
 
 
 def _total_without(m, f, agg) -> int:
